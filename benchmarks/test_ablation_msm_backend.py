@@ -3,10 +3,10 @@
 Pippenger-style point-merging is the MSM hot path (§5 of the paper).
 This ablation times ``accumulate_buckets`` in isolation — the same
 (bucket, point) entry stream handed to the ``python`` backend's ordered
-scalar fold and to the ``numpy`` backend's sorted segmented batch-affine
-reduction (:mod:`repro.backend.numpy_curve`) — on G1 of two curves and
+scalar fold and to the ``native`` backend's sorted segmented batch-affine
+reduction (:mod:`repro.backend.native_curve`) — on G1 of two curves and
 one G2, at two scales for the main curve. Buckets must agree
-group-element-for-group-element; the numpy path must be >= 3x faster at
+group-element-for-group-element; the native path must be >= 3x faster at
 each curve's largest G1 scale. Results land in EXPERIMENTS.md and
 BENCH_msm_backend.json.
 
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.backend import available_backends, get_backend
+from repro.backend import get_backend
 from repro.backend.native import native_available
 from repro.curves import CURVES
 
@@ -73,7 +73,7 @@ def _run_scale(curve_name, group_attr, n, n_buckets, reps):
     o = group.ops
     inf = (o.one, o.one, o.zero)
     entries = _entry_stream(group, n, n_buckets, seed=n + n_buckets)
-    backends = {name: get_backend(name) for name in ("python", "numpy")}
+    backends = {name: get_backend(name) for name in ("python", "native")}
 
     def run(backend):
         buckets = [inf] * n_buckets
@@ -83,15 +83,15 @@ def _run_scale(curve_name, group_attr, n, n_buckets, reps):
 
     # Warm (compiles/caches) and check agreement bucket-for-bucket.
     _, ref = run(backends["python"])
-    _, got = run(backends["numpy"])
+    _, got = run(backends["native"])
     for i in range(n_buckets):
         assert group.from_jacobian(ref[i]) == group.from_jacobian(got[i]), (
             f"{curve_name} {group_attr} n={n}: bucket {i} diverges"
         )
 
-    times = {"python": float("inf"), "numpy": float("inf")}
+    times = {"python": float("inf"), "native": float("inf")}
     for _ in range(reps):
-        for name in ("python", "numpy"):
+        for name in ("python", "native"):
             dt, _ = run(backends[name])
             times[name] = min(times[name], dt)
     return {
@@ -100,8 +100,8 @@ def _run_scale(curve_name, group_attr, n, n_buckets, reps):
         "n": n,
         "buckets": n_buckets,
         "python_ms": times["python"] * 1e3,
-        "numpy_ms": times["numpy"] * 1e3,
-        "speedup": times["python"] / times["numpy"],
+        "native_ms": times["native"] * 1e3,
+        "speedup": times["python"] / times["native"],
     }
 
 
@@ -119,20 +119,20 @@ def _write_outputs(rows):
         "## MSM bucket-accumulation ablation — scalar fold vs segmented tree",
         "",
         "`accumulate_buckets` in isolation (the point-merging hot path): "
-        "python backend's ordered scalar fold vs numpy backend's sorted "
+        "python backend's ordered scalar fold vs native backend's sorted "
         "segmented batch-affine reduction over the native Montgomery "
         "kernels. Interleaved best-of timings, caches warm, single core; "
         "buckets verified group-equal every run. Raw rows: "
         "`BENCH_msm_backend.json`.",
         "",
-        "| curve | group | entries | buckets | python (ms) | numpy (ms) "
+        "| curve | group | entries | buckets | python (ms) | native (ms) "
         "| speedup |",
         "|---|---|---|---|---|---|---|",
     ]
     for r in rows:
         lines.append(
             f"| {r['curve']} | {r['group']} | {r['n']} | {r['buckets']} | "
-            f"{r['python_ms']:.1f} | {r['numpy_ms']:.1f} | "
+            f"{r['python_ms']:.1f} | {r['native_ms']:.1f} | "
             f"{r['speedup']:.2f}x |"
         )
     lines += [
@@ -159,7 +159,6 @@ def _write_outputs(rows):
                     reason="native Montgomery kernels unavailable "
                            "(no C compiler)")
 def test_msm_backend_ablation(regen):
-    assert "numpy" in available_backends(), "numpy backend unavailable"
     scales = TINY_SCALES if TINY else SCALES
 
     def sweep():
@@ -167,13 +166,13 @@ def test_msm_backend_ablation(regen):
 
     rows = regen(sweep)
     print()
-    print("MSM bucket accumulation: python scalar fold vs numpy "
+    print("MSM bucket accumulation: python scalar fold vs native "
           "segmented tree")
     print(f"{'curve':>10} {'grp':>4} {'n':>6} {'python ms':>10} "
-          f"{'numpy ms':>9} {'speedup':>8}")
+          f"{'native ms':>9} {'speedup':>8}")
     for r in rows:
         print(f"{r['curve']:>10} {r['group']:>4} {r['n']:>6} "
-              f"{r['python_ms']:>10.1f} {r['numpy_ms']:>9.1f} "
+              f"{r['python_ms']:>10.1f} {r['native_ms']:>9.1f} "
               f"{r['speedup']:>7.2f}x")
     if TINY:
         return  # smoke mode: equality asserts already ran inside

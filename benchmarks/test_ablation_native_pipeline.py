@@ -1,29 +1,27 @@
-"""End-to-end prover ablation: the native kernel floor vs the scalar
-fallbacks.
+"""End-to-end prover ablation: the two kernel floors.
 
 Times one *full* Groth16 proof (POLY + all five MSMs) per curve under
-three configurations of the same pipeline:
+the two kernel floors of the same pipeline:
 
 * **python** — the scalar reference backend;
-* **numpy-scalar** — the numpy limb backend with ``REPRO_NATIVE=0``,
-  i.e. the float-limb sweeps with scalar Montgomery bucket folds;
-* **native-tuned** — the numpy backend with the compiled CIOS kernels
-  (Stockham NTT passes, batched pointwise vmul).
+* **native-tuned** — the ``native`` backend: compiled CIOS kernels for
+  the Stockham NTT passes, pointwise products and Jacobian bucket
+  folds.
 
 One shared :class:`~repro.backend.autotune.KernelAutotuner` supplies
-every configuration's MSM (k, M) and the certified carry-clean cadence,
-so the rows differ **only in the kernel floor** — the tuner's objective
-is modeled GPU seconds, and letting it vary per row would fold an
-algorithm-config change into a kernel comparison.
+both configurations' MSM (k, M), so the rows differ **only in the
+kernel floor** — the tuner's objective is modeled GPU seconds, and
+letting it vary per row would fold an algorithm-config change into a
+kernel comparison.
 
-All three run ``_prove_with_masks`` with identical masks and must emit
+Both run ``_prove_with_masks`` with identical masks and must emit
 byte-identical group elements — the ablation measures throughput of a
 *fixed* computation, never a different proof. Results land in
 ``BENCH_native_pipeline.json`` and an EXPERIMENTS.md block.
 
 Set ``NATIVE_PIPELINE_TINY=1`` (CI smoke) for a single-curve run that
 still writes the JSON and asserts the acceptance bar: tuned native
-beats the numpy scalar fallback on a full proof.
+beats the python reference on a full proof.
 """
 
 import json
@@ -34,8 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.backend import _INSTANCES, available_backends
-from repro.backend.native import NATIVE_ENV_VAR, native_available
+from repro.backend.native import native_available
 
 TINY = os.environ.get("NATIVE_PIPELINE_TINY", "") == "1"
 
@@ -49,18 +46,6 @@ CURVES_FULL = ("ALT-BN128", "BLS12-381", "MNT4753")
 CURVES_TINY = ("ALT-BN128",)
 ROUNDS = 16 if TINY else 48
 REPS = 1 if TINY else 2
-#: CI-noise tolerance on the tiny smoke's native-vs-numpy assertion
-TINY_TOLERANCE = 1.10
-
-
-def _set_native(enabled: bool) -> None:
-    if enabled:
-        os.environ.pop(NATIVE_ENV_VAR, None)
-    else:
-        os.environ[NATIVE_ENV_VAR] = "0"
-    # engines resolve backends by name per proof; drop the singletons
-    # so the flipped env is honoured (the loader self-resets)
-    _INSTANCES.clear()
 
 
 def _best_proof_time(prover, assignment, reps):
@@ -86,25 +71,17 @@ def _curve_row(curve_name: str):
     r1cs, assignment = sha256_like_circuit(curve.fr, rounds=ROUNDS, seed=1)
     keys = setup(r1cs, curve, random.Random(31))
     tuner = KernelAutotuner()
-    configs = (
-        ("python", "python", True),
-        ("numpy_scalar", "numpy", False),
-        ("native_tuned", "numpy", True),
-    )
+    configs = (("python", "python"), ("native_tuned", "native"))
     times = {}
     proofs = {}
-    try:
-        for label, backend, native_on in configs:
-            _set_native(native_on)
-            prover = make_gzkp_prover(
-                r1cs, keys.proving_key, curve, backend=backend,
-                autotune=True, tuner=tuner,
-            )
-            prover._prove_with_masks(assignment, 1, 2)  # warm caches
-            times[label], proofs[label] = _best_proof_time(
-                prover, assignment, REPS)
-    finally:
-        _set_native(True)
+    for label, backend in configs:
+        prover = make_gzkp_prover(
+            r1cs, keys.proving_key, curve, backend=backend,
+            autotune=True, tuner=tuner,
+        )
+        prover._prove_with_masks(assignment, 1, 2)  # warm caches
+        times[label], proofs[label] = _best_proof_time(
+            prover, assignment, REPS)
     ref = proofs["python"]
     for label, proof in proofs.items():
         assert (proof.a, proof.b, proof.c) == (ref.a, ref.b, ref.c), (
@@ -115,9 +92,7 @@ def _curve_row(curve_name: str):
         "constraints": len(r1cs.constraints),
         "domain": r1cs.domain_size(),
         "python_ms": times["python"] * 1e3,
-        "numpy_scalar_ms": times["numpy_scalar"] * 1e3,
         "native_tuned_ms": times["native_tuned"] * 1e3,
-        "native_vs_numpy": times["numpy_scalar"] / times["native_tuned"],
         "native_vs_python": times["python"] / times["native_tuned"],
     }
 
@@ -136,15 +111,15 @@ def _write_outputs(rows):
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     lines = [
         _MARK_START,
-        "## Native-pipeline ablation — full proofs, three backends",
+        "## Native-pipeline ablation — full proofs, two kernel floors",
         "",
         f"One full Groth16 proof (sha256-like circuit, r={ROUNDS}; "
         f"best of {REPS}, caches warm), identical proof bytes across "
         "configs:",
         "",
-        "| curve | domain | python (ms) | numpy scalar (ms) | "
-        "native tuned (ms) | native vs numpy | native vs python |",
-        "|---|---|---|---|---|---|---|",
+        "| curve | domain | python (ms) | native tuned (ms) | "
+        "native vs python |",
+        "|---|---|---|---|---|",
     ]
     regressed = []
     for r in rows:
@@ -154,16 +129,15 @@ def _write_outputs(rows):
             regressed.append(r["curve"])
         lines.append(
             f"| {r['curve']} | {r['domain']} | {r['python_ms']:.0f} | "
-            f"{r['numpy_scalar_ms']:.0f} | {r['native_tuned_ms']:.0f} | "
-            f"{r['native_vs_numpy']:.2f}x | {vs_py:.2f}x{flag} |")
+            f"{r['native_tuned_ms']:.0f} | {vs_py:.2f}x{flag} |")
     lines += [
         "",
         "`native tuned` routes the NTT butterflies, pointwise passes "
         "and Jacobian bucket folds through the compiled CIOS kernels; "
-        "`numpy scalar` is the same pipeline with `REPRO_NATIVE=0`. "
-        "One shared autotuner supplies every row's MSM (k, M) and "
-        "certified carry-clean cadence, so the rows differ only in the "
-        "kernel floor. A `native vs python` below 1.0x is a regression "
+        "`python` is the scalar reference. One shared autotuner "
+        "supplies every row's MSM (k, M), so the rows differ only in "
+        "the kernel floor. A `native vs python` below 1.0x is a "
+        "regression "
         "flag: the native pipeline must not lose to the scalar "
         "reference. Raw rows in `BENCH_native_pipeline.json`.",
         _MARK_END,
@@ -183,34 +157,23 @@ def _write_outputs(rows):
 
 
 def test_native_pipeline_ablation(regen):
-    assert "numpy" in available_backends(), "numpy backend unavailable"
     if not native_available():
         pytest.skip("no C compiler: native floor unavailable")
     rows = regen(sweep_native_pipeline)
     print()
     print(f"Native-pipeline ablation (sha256-like r={ROUNDS}, "
           f"best of {REPS}):")
-    print(f"{'curve':>12} {'python':>9} {'numpy':>9} {'native':>9} "
-          f"{'vs numpy':>9} {'vs python':>10}")
+    print(f"{'curve':>12} {'python':>9} {'native':>9} {'vs python':>10}")
     for r in rows:
         print(f"{r['curve']:>12} {r['python_ms']:>8.0f}m "
-              f"{r['numpy_scalar_ms']:>8.0f}m "
               f"{r['native_tuned_ms']:>8.0f}m "
-              f"{r['native_vs_numpy']:>8.2f}x "
               f"{r['native_vs_python']:>9.2f}x")
+    # with the Jacobian bucket folds on the native floor, every curve —
+    # including the wide-modulus MNT4753 — must beat the scalar python
+    # reference on a full proof
     for r in rows:
-        bar = TINY_TOLERANCE if TINY else 1.0
-        assert r["native_tuned_ms"] <= r["numpy_scalar_ms"] * bar, (
-            f"{r['curve']}: tuned native ({r['native_tuned_ms']:.0f}ms) "
-            f"did not beat the numpy scalar fallback "
-            f"({r['numpy_scalar_ms']:.0f}ms)")
-    if not TINY:
-        # with the Jacobian bucket folds on the native floor, every
-        # curve — including the wide-modulus MNT4753 — must beat the
-        # scalar python reference on a full proof
-        for r in rows:
-            assert r["native_vs_python"] >= 1.0, (
-                f"{r['curve']}: native pipeline "
-                f"({r['native_tuned_ms']:.0f}ms) lost to python "
-                f"({r['python_ms']:.0f}ms)")
+        assert r["native_vs_python"] >= 1.0, (
+            f"{r['curve']}: native pipeline "
+            f"({r['native_tuned_ms']:.0f}ms) lost to python "
+            f"({r['python_ms']:.0f}ms)")
     _write_outputs(rows)

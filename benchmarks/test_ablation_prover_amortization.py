@@ -25,7 +25,6 @@ import re
 import time
 from pathlib import Path
 
-from repro.backend import available_backends
 from repro.service import ProofJob, ProvingService
 
 TINY = os.environ.get("PROVER_ABLATION_TINY", "") == "1"
@@ -163,9 +162,7 @@ def _write_outputs(rows):
 
 
 def test_prover_amortization_ablation(regen):
-    backends = ["python"]
-    if "numpy" in available_backends():
-        backends.append("numpy")
+    backends = ["python", "native"]
     if TINY:
         cold = _run_mode(backends[-1], warm=False, n_jobs=TINY_JOBS)
         warm = _run_mode(backends[-1], warm=True, n_jobs=TINY_JOBS)
@@ -200,7 +197,7 @@ def test_prover_amortization_ablation(regen):
 
 if __name__ == "__main__":  # manual run without pytest-benchmark
     rows = [_run_mode(b, w, N_JOBS)
-            for b in ("python", "numpy") for w in (False, True)]
+            for b in ("python", "native") for w in (False, True)]
     for row in rows:
         print(row)
     _write_outputs(rows)

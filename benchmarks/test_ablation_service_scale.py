@@ -32,7 +32,6 @@ import re
 import time
 from pathlib import Path
 
-from repro.backend import available_backends
 from repro.service import ProofJob, ProvingService
 from repro.service.loadgen import (LoadGenerator, burst_arrivals,
                                    poisson_arrivals, synthesize_jobs)
@@ -57,10 +56,6 @@ WORKER_CACHE = 4
 TINY_CACHE = 2
 N_JOBS = 40
 TINY_N_JOBS = 20
-
-
-def _backend():
-    return "numpy" if "numpy" in available_backends() else "python"
 
 
 def _capacity_row(workers, keys, n_jobs, backend, cache):
@@ -200,7 +195,7 @@ def _write_outputs(capacity, latency, backend, keys, cache, cores):
 
 
 def _run_tiny():
-    backend = _backend()
+    backend = "native"
     capacity = [_capacity_row(w, TINY_KEYS, TINY_N_JOBS, backend,
                               TINY_CACHE) for w in (1, 2)]
     assert capacity[1]["jobs_per_s"] > capacity[0]["jobs_per_s"], (
@@ -212,7 +207,7 @@ def _run_tiny():
 
 
 def _run_full():
-    backend = _backend()
+    backend = "native"
     capacity = [_capacity_row(w, KEYS, N_JOBS, backend, WORKER_CACHE)
                 for w in (1, 2, 4)]
     rates = [r["jobs_per_s"] for r in capacity]

@@ -2,7 +2,7 @@
 
 The service's two parallelism axes (jobs across workers, MSMs across
 threads within a job) only pay off when cores exist to back them; the
-backend axis (python scalar vs numpy+native limb engine) pays on any
+backend axis (python scalar vs the compiled native kernels) pays on any
 machine. This ablation pushes one fixed batch of ALT-BN128 jobs through
 the service at 1 and 2 workers on both backends, records jobs/sec, and
 verifies every returned proof. Results land in EXPERIMENTS.md and
@@ -22,7 +22,6 @@ import re
 import time
 from pathlib import Path
 
-from repro.backend import available_backends
 from repro.service import ProofJob, ProvingService
 
 TINY = os.environ.get("SERVICE_ABLATION_TINY", "") == "1"
@@ -119,9 +118,7 @@ def _write_outputs(rows, cores):
 
 
 def test_service_throughput_ablation(regen):
-    backends = ["python"]
-    if "numpy" in available_backends():
-        backends.append("numpy")
+    backends = ["python", "native"]
     if TINY:
         row = _run_config(workers=2, backend=backends[-1])
         assert row["jobs_per_s"] > 0
@@ -145,7 +142,7 @@ def test_service_throughput_ablation(regen):
 
 
 if __name__ == "__main__":  # manual run without pytest-benchmark
-    rows = [_run_config(w, b) for b in ("python", "numpy")
+    rows = [_run_config(w, b) for b in ("python", "native")
             for w in (1, 2)]
     for row in rows:
         print(row)

@@ -4,8 +4,9 @@
 Packages:
 
 * :mod:`repro.ff` - finite fields (int, 64-bit Montgomery, base-2^52 DFP).
-* :mod:`repro.backend` - pluggable batch compute engines (pure-Python
-  and vectorized NumPy limb-matrix; ``REPRO_BACKEND=python|numpy``).
+* :mod:`repro.backend` - pluggable batch compute engines: two kernel
+  floors, the runtime-compiled C kernels (``native``, the default) and
+  the pure-Python reference (``python``); ``REPRO_BACKEND=native|python``.
 * :mod:`repro.curves` - elliptic-curve groups and pairings.
 * :mod:`repro.gpusim` - GPU/CPU execution model and cost accounting.
 * :mod:`repro.ntt` - POLY stage: reference, baseline-GPU and GZKP NTTs.

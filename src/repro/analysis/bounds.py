@@ -1,28 +1,21 @@
 """Limb-bound certifier: worst-case magnitude propagation (GZKP §4.3).
 
-The float-limb kernels are only correct while every intermediate stays
-*exactly representable*: float64 lanes must never exceed 2^53, int64
-lanes never 2^63, and the magic-constant rounding trick needs its
-operand inside the constant's binade. Those claims live as comments in
-:mod:`repro.backend.numpy_limb` / :mod:`repro.backend.numpy_curve` /
-:mod:`repro.ff.dfp`; this module turns them into machine-checked
-certificates.
+The limb kernels are only correct while every intermediate stays
+*exactly representable*: float64 lanes must never exceed 2^53 and the
+compiled word kernels' unsigned 128-bit accumulators must never wrap.
+Those claims live as comments in :mod:`repro.ff.dfp` and
+:mod:`repro.backend.native`; this module turns them into
+machine-checked certificates.
 
 The certifier is an interval/abstract interpreter over the kernels'
 dataflow. Each kernel family is modelled as magnitude arithmetic on
-per-row bounds (pure Python ints — no float can round, no int64 can
+per-row bounds (pure Python ints — no float can round, no int can
 wrap inside the certifier itself), and every step that the real kernel
-performs in float64 or int64 records a :class:`~repro.analysis.report.
-BoundCheck` into a tracker that keeps the worst case seen. Five
-families are covered:
+performs in float64 or fixed-width words records a
+:class:`~repro.analysis.report.BoundCheck` into a tracker that keeps
+the worst case seen. Three families are covered:
 
 * ``dfp`` — the base-2^52 Dekker two-product multiplier.
-* ``numpy-limb`` — the base-2^22 float64 engine: Stockham sweep with
-  per-pass twiddle matmuls, the ``clean_every`` cadence, the schoolbook
-  ``vmul``, and both egress pipelines.
-* ``soa-curve`` — the int64 struct-of-arrays Jacobian kernels,
-  replaying the exact formula sequences of ``batch_jdouble`` /
-  ``batch_jadd`` / ``batch_jmixed_add``.
 * ``native-mont`` — the compiled CIOS Montgomery kernels
   (:mod:`repro.backend.native`): u128 accumulator range, scratch
   width, and the canonicality invariants the raw-domain Stockham
@@ -34,85 +27,27 @@ families are covered:
   planes, and machine-checked Montgomery-mul counts per point op
   (formula muls + fused conversions, Karatsuba 3-mul Fq2 tower).
 
-This module must stay importable from the kernels it certifies (the
-runtime cadence guard in ``numpy_limb`` imports
-:func:`certified_safe_clean_every`), so it depends only on the standard
-library and :mod:`repro.analysis.report`; the field registry is
-imported lazily inside :func:`certify_all`.
+The module depends only on the standard library and
+:mod:`repro.analysis.report`; the field registry is imported lazily
+inside :func:`certify_all`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.report import BoundCheck, KernelCertificate
 
 __all__ = [
-    "LimbGeometry",
-    "limb_geometry",
-    "certified_safe_clean_every",
     "certify_dfp",
-    "certify_numpy_limb",
     "certify_native_mont",
     "certify_native_jacobian",
-    "certify_soa_curve",
     "certify_modulus",
     "certify_all",
 ]
 
 #: float64 integers are exact strictly below this
 F53 = 1 << 53
-#: int64 overflow threshold
-I63 = 1 << 63
-#: no registered field exposes 2-adicity above 32, so no Stockham sweep
-#: runs more than 32 passes; the model always covers at least this many
-#: and extends to four full clean segments so the cadence's steady
-#: state is certified too (a prefix of the simulated schedule covers
-#: every shorter sweep).
-MIN_SWEEP_PASSES = 32
-#: once a simulated bound passes this the violation is already recorded
-#: and further growth is pointless (it turns multiplicative)
-_ABORT = 1 << 60
-
-
-# -- geometry mirror -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LimbGeometry:
-    """Pure-Python mirror of ``numpy_limb._Geometry`` (same formulas;
-    the cross-check test asserts they agree for every registered
-    modulus)."""
-
-    p: int
-    bits: int
-    limb_bits: int
-    ld: int
-    lg: int
-    w32: int
-    kp: int
-    eg_w32: int
-    clean_every: int
-    #: largest unsigned value of the top *data* limb of any x < p
-    top_data_max: int
-
-
-def limb_geometry(modulus: int, limb_bits: int = 22) -> LimbGeometry:
-    bits = modulus.bit_length()
-    ld = (bits + limb_bits - 1) // limb_bits
-    if bits > limb_bits * ld - 1:
-        ld += 1
-    lg = ld + 2
-    w32 = (bits + 31) // 32
-    shift = limb_bits * lg + 8 - (bits - 1)
-    kp = (1 << shift) * modulus
-    eg_w32 = (limb_bits * lg + 40) // 32 + 1
-    clean_every = max(2, (1 << 53) // (lg << (2 * limb_bits)))
-    top_data_max = (modulus - 1) >> (limb_bits * (ld - 1))
-    return LimbGeometry(modulus, bits, limb_bits, ld, lg, w32, kp,
-                        eg_w32, clean_every, top_data_max)
 
 
 # -- check tracker -------------------------------------------------------------
@@ -136,312 +71,6 @@ class _Tracker:
 
     def checks(self) -> List[BoundCheck]:
         return [self._worst[n] for n in self._order]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self._worst.values())
-
-
-# -- numpy-limb: magic-constant normalize model --------------------------------
-
-
-def _normalize_rows(rows: List[int], limb_bits: int, trk: _Tracker,
-                    tag: str, absorb_top: bool = False) -> List[int]:
-    """Two magic-rounding carry rounds on a per-row magnitude vector.
-
-    Mirrors ``numpy_limb._normalize`` (``absorb_top=False``, the carry
-    out of the top guard row is *dropped*, so it must be provably zero)
-    and the normalize prefix of ``_limbs_to_ints`` (``absorb_top=True``,
-    the top limb re-absorbs its own carry times the base).
-
-    ``(x + MAGIC) - MAGIC`` rounds to the nearest multiple of 2^22 only
-    while ``MAGIC + x`` stays inside MAGIC's binade, i.e. |x| <
-    2^(51 + limb_bits); the rounded part d satisfies |d| <= |x| + 2^21,
-    so the carry |d|/2^22 is bounded by ``(|x| + 2^21) >> 22``.
-    """
-    half = 1 << (limb_bits - 1)
-    magic_safe = 1 << (51 + limb_bits)
-    lg = len(rows)
-    for _ in range(2):
-        trk.hit(
-            f"{tag}/magic-window", max(rows), magic_safe, "float53",
-            "x + MAGIC must stay inside MAGIC's binade for exact "
-            "round-to-multiple-of-base",
-        )
-        if not absorb_top:
-            trk.hit(
-                f"{tag}/top-carry-zero", rows[-1], half, "carry",
-                "the top guard row must round to zero: its carry is "
-                "dropped by _normalize",
-            )
-        carries = [(r + half) >> limb_bits for r in rows]
-        new = [half] * lg
-        for i in range(1, lg - 1):
-            new[i] = half + carries[i - 1]
-        new[-1] = rows[-1] + carries[-2]
-        rows = new
-    return rows
-
-
-# -- numpy-limb: Stockham sweep model ------------------------------------------
-
-
-def _sweep_pass(rows: List[int], tabcap: List[int], limb_bits: int,
-                trk: _Tracker) -> List[int]:
-    """One butterfly pass: normalize a copy (v), multiply by the twiddle
-    constant matrix, add/subtract into the state.
-
-    ``tabcap[r]`` bounds |tab[r, c]| for every column c: balanced limbs
-    of values < p occupy rows < ld with magnitude <= 2^21, row ld holds
-    at most the balancing carry (<= 1), and the top guard row is zero —
-    which is exactly why the state's top row only ever changes through
-    normalize carries.
-    """
-    v = _normalize_rows(rows, limb_bits, trk, "sweep/v-normalize")
-    s_v = sum(v)
-    v_max = max(v)
-    trk.hit(
-        "sweep/twiddle-term", max(tabcap) * v_max, F53, "float53",
-        "each tab[r,c] * v[c] product must be float-exact",
-    )
-    tmat = [cap * s_v for cap in tabcap]
-    trk.hit(
-        "sweep/twiddle-rowsum", max(tmat), F53, "float53",
-        "matmul partial sums over the LG columns must stay float-exact",
-    )
-    out = [r + t for r, t in zip(rows, tmat)]
-    trk.hit(
-        "sweep/butterfly", max(out), F53, "float53",
-        "u +/- t accumulator rows must stay float-exact between cleans",
-    )
-    return out
-
-
-def _simulate_sweep(limb_bits: int, lg: int, ld: int, top_data_max: int,
-                    clean_every: int, trk: _Tracker,
-                    geom: Optional[LimbGeometry] = None) -> None:
-    """Run the per-row magnitude model over a worst-case sweep.
-
-    Ingress rows are unsigned base-2^22 limbs of a canonical value; the
-    clean schedule mirrors ``_stockham_ntt`` (normalize the state before
-    pass i when ``i % clean_every == 0``, i > 0). The simulation covers
-    ``max(MIN_SWEEP_PASSES, 4 * clean_every + 4)`` passes — every
-    supported NTT length plus four full clean segments, so the
-    between-clean steady state is certified, not just the ingress
-    transient. When ``geom`` is given the egress pipeline is evaluated
-    after *every* pass, so the recorded worst case covers a sweep ending
-    at any simulated length.
-    """
-    half = 1 << (limb_bits - 1)
-    mask = (1 << limb_bits) - 1
-    rows = [mask] * (ld - 1) + [top_data_max] + [0] * (lg - ld)
-    tabcap = [half] * ld + [1] + [0] * (lg - ld - 1)
-    if geom is not None:
-        _egress_checks(rows, geom, trk)
-    for i in range(max(MIN_SWEEP_PASSES, 4 * clean_every + 4)):
-        if i and i % clean_every == 0:
-            rows = _normalize_rows(rows, limb_bits, trk, "sweep/clean")
-        rows = _sweep_pass(rows, tabcap, limb_bits, trk)
-        if geom is not None:
-            _egress_checks(rows, geom, trk)
-        if max(rows) >= _ABORT:
-            break  # violation already recorded; growth is multiplicative
-
-
-# -- numpy-limb: egress model --------------------------------------------------
-
-
-def _egress_checks(rows: List[int], geom: LimbGeometry,
-                   trk: _Tracker) -> None:
-    """Model ``_limbs_to_ints``: absorb-top normalize, + k*p offset,
-    int64 carry propagation, 32-bit word assembly."""
-    lb = geom.limb_bits
-    mask = (1 << lb) - 1
-    er = _normalize_rows(rows, lb, trk, "egress/normalize",
-                         absorb_top=True)
-    trk.hit(
-        "egress/int64-cast", max(er), F53, "float53",
-        "limbs must be exact-integer floats before the int64 cast",
-    )
-    kp_limbs = [(geom.kp >> (lb * j)) & mask for j in range(geom.lg - 1)]
-    kp_limbs.append(geom.kp >> (lb * (geom.lg - 1)))
-    neg = sum(er[j] << (lb * j) for j in range(geom.lg))
-    trk.hit(
-        "egress/kp-positivity", neg, geom.kp + 1, "carry",
-        "the k*p offset must dominate the most-negative reachable "
-        "accumulator value so the carry loop sees non-negatives",
-    )
-    carry = 0
-    for j in range(geom.lg):
-        t = er[j] + kp_limbs[j] + carry
-        trk.hit("egress/int64-carry", t, I63, "int64",
-                "per-limb accumulator + carry must fit int64")
-        carry = t >> lb
-    total = neg + geom.kp
-    trk.hit(
-        "egress/word-capacity", total, 1 << (32 * geom.eg_w32), "carry",
-        "the assembled value must fit the egress 32-bit word buffer",
-    )
-
-
-# -- numpy-limb: vmul model ----------------------------------------------------
-
-
-def _vmul_checks(geom: LimbGeometry, trk: _Tracker) -> None:
-    """Model ``NumpyLimbBackend.vmul``: unsigned schoolbook diagonals in
-    float64, then the ``_wide_egress`` int64 carry loop."""
-    lb, ld, lg = geom.limb_bits, geom.ld, geom.lg
-    mask = (1 << lb) - 1
-    limb_max = [mask] * (ld - 1) + [geom.top_data_max] + [0] * (lg - ld)
-    trk.hit(
-        "vmul/term", mask * mask, F53, "float53",
-        "each limb product must be float-exact",
-    )
-    nl = 2 * lg - 1
-    diag = [0] * nl
-    for i in range(lg):
-        for j in range(lg):
-            diag[i + j] += limb_max[i] * limb_max[j]
-    trk.hit(
-        "vmul/diagonal", max(diag), F53, "float53",
-        "per-diagonal accumulation (at most LD nonzero terms) must stay "
-        "float-exact",
-    )
-    carry = 0
-    for j in range(nl):
-        t = diag[j] + carry
-        trk.hit("vmul/egress-int64", t, I63, "int64",
-                "wide-egress per-limb value + carry must fit int64")
-        carry = t >> lb
-    ew32 = (lb * nl + 28 + 31) // 32 + 1
-    total = sum(d << (lb * k) for k, d in enumerate(diag))
-    trk.hit(
-        "vmul/word-capacity", total, 1 << (32 * ew32), "carry",
-        "the full double-width product must fit the egress word buffer",
-    )
-
-
-def _vmul_witness(geom: LimbGeometry) -> dict:
-    """An achievable input whose exact max diagonal the property tests
-    reproduce on the real kernel: all-ones body limbs under the largest
-    feasible top data limb."""
-    lb, ld, lg = geom.limb_bits, geom.ld, geom.lg
-    mask = (1 << lb) - 1
-    w = lb * (ld - 1)
-    low = (1 << w) - 1 if ld > 1 else 0
-    value = geom.p - 1
-    for top in (geom.top_data_max, geom.top_data_max - 1):
-        if top < 0:
-            continue
-        cand = (top << w) | low
-        if 0 < cand < geom.p:
-            value = cand
-            break
-    limbs = [(value >> (lb * j)) & mask for j in range(lg)]
-    diag = [0] * (2 * lg - 1)
-    for i in range(lg):
-        for j in range(lg):
-            diag[i + j] += limbs[i] * limbs[j]
-    return {"value": value, "magnitude": max(diag), "check": "vmul/diagonal"}
-
-
-# -- numpy-limb: certificate ---------------------------------------------------
-
-
-def certify_numpy_limb(name: str, modulus: int,
-                       clean_every: Optional[int] = None,
-                       limb_bits: int = 22) -> KernelCertificate:
-    """Certify the base-2^22 float64 engine for one modulus.
-
-    ``clean_every`` overrides the geometry's cadence — the regression
-    fixture passes a deliberately weakened value and the certificate
-    must report a float-exactness violation.
-    """
-    geom = limb_geometry(modulus, limb_bits)
-    cadence = geom.clean_every if clean_every is None else clean_every
-    trk = _Tracker()
-    half = 1 << (limb_bits - 1)
-    trk.hit(
-        "geom/guard-rows", abs(geom.lg - (geom.ld + 2)), 1, "structure",
-        "two guard rows are required so balanced values < p never touch "
-        "the top row (twiddle/fold matrices vanish there)",
-    )
-    trk.hit(
-        "geom/top-data-limb", geom.top_data_max, half, "carry",
-        "the top data limb of any x < p must stay below 2^21 so "
-        "balancing never carries past the first guard row",
-    )
-    trk.hit(
-        "geom/cadence-within-certified", cadence,
-        certified_safe_clean_every(limb_bits, geom.lg) + 1, "structure",
-        "the configured clean cadence must not exceed the certified "
-        "safe bound for this limb geometry",
-    )
-    _simulate_sweep(limb_bits, geom.lg, geom.ld, geom.top_data_max,
-                    cadence, trk, geom=geom)
-    _vmul_checks(geom, trk)
-    witness = _vmul_witness(geom)
-    trk.hit(
-        "vmul/attained-diagonal", witness["magnitude"], F53, "float53",
-        "exact diagonal magnitude of the constructed witness input "
-        "(reproduced bit-exactly by the property tests)",
-    )
-    return KernelCertificate(
-        family="numpy-limb",
-        modulus_name=name,
-        modulus_bits=geom.bits,
-        params={
-            "limb_bits": limb_bits,
-            "ld": geom.ld,
-            "lg": geom.lg,
-            "clean_every": cadence,
-            "configured_clean_every": geom.clean_every,
-            "safe_clean_every": certified_safe_clean_every(limb_bits,
-                                                           geom.lg),
-            "sweep_passes": max(MIN_SWEEP_PASSES, 4 * cadence + 4),
-        },
-        checks=trk.checks(),
-        witnesses={"vmul": witness},
-    )
-
-
-# -- safe cadence (single source of truth for the runtime guard) ---------------
-
-
-def _sweep_is_safe(limb_bits: int, lg: int, cadence: int) -> bool:
-    """True when a worst-case sweep with this cadence records no
-    violation, using modulus-independent conservative row caps (any
-    modulus with this lg is dominated)."""
-    trk = _Tracker()
-    ld = lg - 2
-    mask = (1 << limb_bits) - 1
-    _simulate_sweep(limb_bits, lg, ld, mask, cadence, trk)
-    return trk.ok
-
-
-@lru_cache(maxsize=None)
-def certified_safe_clean_every(limb_bits: int, lg: int) -> int:
-    """Largest clean cadence the sweep model certifies for this limb
-    geometry. ``numpy_limb._Geometry`` asserts its configured cadence
-    against this at construction time — the certifier is the single
-    source of truth for the bound."""
-    if not _sweep_is_safe(limb_bits, lg, 2):
-        raise ValueError(
-            f"limb geometry (limb_bits={limb_bits}, lg={lg}) is not "
-            "certifiable at any clean cadence"
-        )
-    lo, hi = 2, 2
-    while hi < 4096 and _sweep_is_safe(limb_bits, lg, hi * 2):
-        hi *= 2
-    lo = hi
-    hi = min(hi * 2, 4096)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _sweep_is_safe(limb_bits, lg, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # -- DFP (base-2^52 Dekker two-product) ----------------------------------------
@@ -498,254 +127,6 @@ def certify_dfp(name: str, modulus: int) -> KernelCertificate:
                 "check": "dfp/product",
             }
         },
-    )
-
-
-# -- SoA int64 curve kernels ---------------------------------------------------
-
-
-class _SoaVal:
-    """Magnitude state of one ``_LV`` lane vector: the code's own
-    ``mag`` bookkeeping (drives its control flow) plus the certifier's
-    sound per-row-class bounds (drive the checks). Rows split the same
-    way as the sweep model: body rows (< ld), the first guard row (ld,
-    reached only by balancing/fold carries), and the top guard row
-    (lg - 1, reached only by carry rounds)."""
-
-    __slots__ = ("code_mag", "body", "guard", "top")
-
-    def __init__(self, code_mag: int, body: int, guard: int, top: int):
-        self.code_mag = code_mag
-        self.body = body
-        self.guard = guard
-        self.top = top
-
-    @property
-    def peak(self) -> int:
-        return max(self.body, self.guard, self.top)
-
-
-class _SoaModel:
-    """Mirror of ``numpy_curve._VecField`` in magnitude arithmetic.
-
-    Control flow (when to normalize, the mul pre-normalize loop) follows
-    the code's optimistic ``mag`` values exactly; every int64/float64
-    step is checked against the certifier's independent sound bounds, so
-    a pass certifies the kernel even where its internal bookkeeping is
-    approximate."""
-
-    def __init__(self, geom: LimbGeometry, trk: _Tracker):
-        self.geom = geom
-        self.trk = trk
-        self.lb = geom.limb_bits
-        self.half = 1 << (geom.limb_bits - 1)
-        self.base = 1 << geom.limb_bits
-
-    def from_ints(self) -> _SoaVal:
-        # ingress limbs are unsigned < 2^22 and never reach guard rows
-        return _SoaVal(self.base, self.base - 1, 0, 0)
-
-    def from_const(self) -> _SoaVal:
-        # balanced limbs of a value < p: body <= 2^21, guard row holds
-        # at most the balancing carry, top row zero
-        return _SoaVal(self.half + 2, self.half, 1, 0)
-
-    def _carry_round(self, body: int, guard: int, top: int, tag: str):
-        """One ``_VecField._carry`` round. The carry into the guard row
-        comes from a body row; the carry into the top row comes from the
-        guard row; the top row re-absorbs its own carry."""
-        trk = self.trk
-        trk.hit(f"{tag}/int64-round", max(body, guard, top) + self.half,
-                I63, "int64",
-                "x + HALF in the shift-carry must fit int64")
-        c_body = ((body + self.half) >> self.lb) + 1
-        c_guard = ((guard + self.half) >> self.lb) + 1
-        c_top = ((top + self.half) >> self.lb) + 1
-        trk.hit(
-            f"{tag}/int64-top", top + (c_top << self.lb) + c_guard, I63,
-            "int64",
-            "the top row's re-absorbed carry intermediate must fit "
-            "int64",
-        )
-        return (self.half + c_body, self.half + c_body, top + c_guard)
-
-    def normalize(self, v: _SoaVal, tag: str) -> _SoaVal:
-        body, guard, top = v.body, v.guard, v.top
-        for _ in range(2):
-            body, guard, top = self._carry_round(body, guard, top, tag)
-        self.trk.hit(
-            "soa/normalize-residual", max(body, guard), self.base,
-            "carry",
-            "two carry rounds must bring body limbs back under one "
-            "limb base",
-        )
-        return _SoaVal(self.half + 2, body, guard, top)
-
-    def _lazy(self, out: _SoaVal) -> _SoaVal:
-        self.trk.hit("soa/lazy-int64", out.peak, I63, "int64",
-                     "lazy add/sub/scale lanes must fit int64")
-        if out.code_mag > (1 << 28):
-            return self.normalize(out, "soa/lazy-normalize")
-        return out
-
-    def add(self, a: _SoaVal, b: _SoaVal) -> _SoaVal:
-        return self._lazy(_SoaVal(a.code_mag + b.code_mag,
-                                  a.body + b.body, a.guard + b.guard,
-                                  a.top + b.top))
-
-    sub = add  # same magnitude arithmetic
-
-    def mul_small(self, a: _SoaVal, k: int) -> _SoaVal:
-        return self._lazy(_SoaVal(a.code_mag * k, a.body * k,
-                                  a.guard * k, a.top * k))
-
-    def mul(self, a: _SoaVal, b: _SoaVal) -> _SoaVal:
-        trk = self.trk
-        lg, ld = self.geom.lg, self.geom.ld
-        while a.code_mag * b.code_mag > F53:
-            if a.code_mag >= b.code_mag:
-                a = self.normalize(a, "soa/mul-prenormalize")
-            else:
-                b = self.normalize(b, "soa/mul-prenormalize")
-        ma = a.peak
-        mb = b.peak
-        trk.hit("soa/mul-term-int64", ma * mb, I63, "int64",
-                "per-lane limb products must fit int64")
-        # prod rows 0..2lg-3 accumulate <= lg diagonal terms; the
-        # second-from-top row is the single a[lg-1]*b[lg-1] term and the
-        # top row starts empty (diagonals reach index 2lg-2 only).
-        p_body = lg * ma * mb
-        p_guard = a.top * b.top
-        p_top = 0
-        trk.hit("soa/mul-rowsum-int64", p_body, I63, "int64",
-                "diagonal accumulation over LG terms must fit int64")
-        for _ in range(2):
-            p_body, p_guard, p_top = self._carry_round(
-                p_body, p_guard, p_top, "soa/mul-prod-carry")
-        # fold matmul: float64 over prod rows ld..2lg-2; fold-matrix
-        # entries are balanced limbs of values < p (body <= 2^21, guard
-        # row <= 1, top row zero).
-        p_peak = max(p_body, p_guard, p_top)
-        trk.hit("soa/fold-cast", p_peak, F53, "float53",
-                "high product rows must be exact when cast to float64 "
-                "for the fold matmul")
-        ncols = 2 * lg - 1 - ld
-        col_sum = ncols * p_peak
-        trk.hit("soa/fold-term", self.half * p_peak, F53, "float53",
-                "each fold-matrix product must be float-exact")
-        trk.hit("soa/fold-rowsum", self.half * col_sum, F53, "float53",
-                "fold matmul partial sums must stay float-exact")
-        out_body = self.half * col_sum + self.half * p_top + p_body
-        out_guard = col_sum + p_top
-        out_top = 0
-        trk.hit("soa/fold-out-int64", max(out_body, out_guard), I63,
-                "int64", "folded + low-row accumulation must fit int64")
-        trk.hit(
-            "soa/topfold-zero", out_top if lg == ld + 2 else 1, 1,
-            "structure",
-            "the fold matrices' top row vanishes (lg = ld + 2), so the "
-            "pre-topfold guard row is structurally zero and the top "
-            "fold moves nothing",
-        )
-        for _ in range(2):
-            out_body, out_guard, out_top = self._carry_round(
-                out_body, out_guard, out_top, "soa/mul-out-carry")
-        self.trk.hit(
-            "soa/normalize-residual", max(out_body, out_guard),
-            self.base, "carry",
-            "two carry rounds must bring body limbs back under one "
-            "limb base",
-        )
-        return _SoaVal(self.half + 2, out_body, out_guard, out_top)
-
-    def to_ints(self, v: _SoaVal) -> None:
-        if v.code_mag > (1 << 26):
-            v = self.normalize(v, "soa/egress-normalize")
-        self.trk.hit("soa/egress-float", v.peak, F53, "float53",
-                     "egress limbs must be exact when cast to float64")
-
-
-def _replay_jdouble(m: _SoaModel, a_is_zero: bool) -> None:
-    x = m.from_ints()
-    y = m.from_ints()
-    z = m.from_ints()
-    ysq = m.mul(y, y)
-    s = m.mul_small(m.mul(x, ysq), 4)
-    if a_is_zero:
-        mm = m.mul_small(m.mul(x, x), 3)
-    else:
-        z2 = m.mul(z, z)
-        mm = m.add(m.mul_small(m.mul(x, x), 3),
-                   m.mul(m.mul(z2, z2), m.from_const()))
-    x3 = m.sub(m.mul(mm, mm), m.mul_small(s, 2))
-    y3 = m.sub(m.mul(mm, m.sub(s, x3)),
-               m.mul_small(m.mul(ysq, ysq), 8))
-    z3 = m.mul_small(m.mul(y, z), 2)
-    for v in (x3, y3, z3):
-        m.to_ints(v)
-
-
-def _replay_jadd(m: _SoaModel) -> None:
-    x1, y1, z1 = m.from_ints(), m.from_ints(), m.from_ints()
-    x2, y2, z2 = m.from_ints(), m.from_ints(), m.from_ints()
-    z1sq = m.mul(z1, z1)
-    z2sq = m.mul(z2, z2)
-    u1 = m.mul(x1, z2sq)
-    u2 = m.mul(x2, z1sq)
-    s1 = m.mul(y1, m.mul(z2sq, z2))
-    s2 = m.mul(y2, m.mul(z1sq, z1))
-    h = m.sub(u2, u1)
-    r = m.sub(s2, s1)
-    m.to_ints(h)
-    m.to_ints(r)
-    hsq = m.mul(h, h)
-    hcu = m.mul(hsq, h)
-    u1hsq = m.mul(u1, hsq)
-    x3 = m.sub(m.sub(m.mul(r, r), hcu), m.mul_small(u1hsq, 2))
-    y3 = m.sub(m.mul(r, m.sub(u1hsq, x3)), m.mul(s1, hcu))
-    z3 = m.mul(h, m.mul(z1, z2))
-    for v in (x3, y3, z3):
-        m.to_ints(v)
-
-
-def _replay_jmixed(m: _SoaModel) -> None:
-    x1, y1, z1 = m.from_ints(), m.from_ints(), m.from_ints()
-    x2, y2 = m.from_ints(), m.from_ints()
-    z1sq = m.mul(z1, z1)
-    u2 = m.mul(x2, z1sq)
-    s2 = m.mul(y2, m.mul(z1sq, z1))
-    h = m.sub(u2, x1)
-    r = m.sub(s2, y1)
-    m.to_ints(h)
-    m.to_ints(r)
-    hsq = m.mul(h, h)
-    hcu = m.mul(hsq, h)
-    u1hsq = m.mul(x1, hsq)
-    x3 = m.sub(m.sub(m.mul(r, r), hcu), m.mul_small(u1hsq, 2))
-    y3 = m.sub(m.mul(r, m.sub(u1hsq, x3)), m.mul(y1, hcu))
-    z3 = m.mul(h, z1)
-    for v in (x3, y3, z3):
-        m.to_ints(v)
-
-
-def certify_soa_curve(name: str, modulus: int,
-                      limb_bits: int = 22) -> KernelCertificate:
-    """Certify the int64 SoA Jacobian kernels by replaying the exact
-    formula sequences of batch_jdouble / batch_jadd / batch_jmixed_add
-    through the magnitude model (both curve-constant branches)."""
-    geom = limb_geometry(modulus, limb_bits)
-    trk = _Tracker()
-    model = _SoaModel(geom, trk)
-    _replay_jdouble(model, a_is_zero=True)
-    _replay_jdouble(model, a_is_zero=False)
-    _replay_jadd(model)
-    _replay_jmixed(model)
-    return KernelCertificate(
-        family="soa-curve",
-        modulus_name=name,
-        modulus_bits=geom.bits,
-        params={"limb_bits": limb_bits, "ld": geom.ld, "lg": geom.lg},
-        checks=trk.checks(),
     )
 
 
@@ -966,7 +347,7 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
     because x -> x*R mod p is a bijection for odd p so h == 0 iff the
     canonical difference is zero; (3) the per-op Montgomery-mul counts
     equal the paper's formula constants plus the fused conversions —
-    the same totals :func:`repro.backend.numpy_curve.
+    the same totals :func:`repro.backend.native_curve.
     native_point_op_muls` feeds the autotuner's (k, M) pricing.
     """
     import math as _math
@@ -1077,11 +458,9 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
 
 
 def certify_modulus(name: str, modulus: int) -> List[KernelCertificate]:
-    """All five family certificates for one modulus."""
+    """All three family certificates for one modulus."""
     return [
         certify_dfp(name, modulus),
-        certify_numpy_limb(name, modulus),
-        certify_soa_curve(name, modulus),
         certify_native_mont(name, modulus),
         certify_native_jacobian(name, modulus),
     ]

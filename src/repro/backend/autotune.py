@@ -1,34 +1,30 @@
-"""Cost-model-guided kernel autotuner with certifier-gated cadences.
+"""Cost-model-guided kernel autotuner with certifier-gated profiles.
 
-GZKP tunes its kernels over a small config space — MSM window size k,
-checkpoint interval M (Algorithm 1 / Figure 9) and how lazily the limb
-engine may defer carry cleaning (§4.3) — once per application, then
-reuses the choice for every proof. This module is that profiling step
-for the reproduction, per (curve, size, device):
+GZKP tunes its MSM over a small config space — window size k and
+checkpoint interval M (Algorithm 1 / Figure 9) — once per application,
+then reuses the choice for every proof. This module is that profiling
+step for the reproduction, per (curve, size, device): a joint search
+over window sizes k = 6..24 and every checkpoint interval M whose table
+fits the preprocessing memory budget, priced by the engine's own cost
+plan (:meth:`~repro.msm.gzkp.GzkpMsm._plan_with_cfg` under
+``device.time_of``). The stock engine searches k with the *smallest*
+fitting M; the tuner also explores sparser checkpoint rows, trading
+modeled recovery doublings against table footprint.
 
-* **MSM (k, M):** a joint search over window sizes k = 6..24 and every
-  checkpoint interval M whose table fits the preprocessing memory
-  budget, priced by the engine's own cost plan
-  (:meth:`~repro.msm.gzkp.GzkpMsm._plan_with_cfg` under
-  ``device.time_of``). The stock engine searches k with the *smallest*
-  fitting M; the tuner also explores sparser checkpoint rows, trading
-  modeled recovery doublings against table footprint.
-* **Carry-clean cadence:** the limb engine's normalize cadence. Sweep
-  cost decreases monotonically in the cadence (fewer cleans), so the
-  cost-model optimum is the *largest provably safe* value — and "safe"
-  is never this module's judgement: every cadence the tuner emits is
-  gated by the limb-bound certifier
-  (:func:`repro.analysis.bounds.certify_numpy_limb`), and the resulting
-  machine-checked certificate travels with the profile.
+A curve profile carries the machine-checked certificates of the
+compiled kernels the tuned pipeline runs on
+(:func:`repro.analysis.bounds.certify_native_mont` and
+:func:`~repro.analysis.bounds.certify_native_jacobian`); a modulus
+those kernels cannot certify is not tunable.
 
 Profiles persist as JSON under ``<kernel cache base>/autotune/`` with
 the same pid-unique-temp + ``os.replace`` atomic publish as the kernel
 cache, so the forked service and repeat benchmark runs never re-search.
-A loaded profile is never trusted blindly: its cadence is re-certified
-on load and its MSM config revalidated against the live engine; any
-mismatch (tampered file, stale layout, different certifier verdict)
-falls back to a fresh search. Tuning never changes results — every
-knob is bit-identity-preserving by construction — only throughput.
+A loaded profile is never trusted blindly: its certificates are
+re-derived and its MSM config revalidated against the live engine; any
+mismatch (tampered file, stale layout or schema version) falls back to
+a fresh search. Tuning never changes results — every knob is
+bit-identity-preserving by construction — only throughput.
 """
 
 from __future__ import annotations
@@ -50,14 +46,14 @@ class TuningError(ReproError):
 
 #: window search range, matching the stock profiling sweep (§4.1)
 WINDOW_RANGE = range(6, 25)
-#: schema tag of persisted profiles; bump on layout change
-PROFILE_VERSION = 1
+#: schema tag of persisted profiles; bump on layout change (version 1
+#: profiles also carried a carry-clean cadence and are searched again)
+PROFILE_VERSION = 2
 
 
 @dataclass(frozen=True)
 class TunedProfile:
-    """One curve/size/device tuning result (both MSM groups plus the
-    scalar field's certified carry-clean cadence)."""
+    """One curve/size/device tuning result for both MSM groups."""
 
     curve: str
     n: int
@@ -66,11 +62,10 @@ class TunedProfile:
     g1_interval: int
     g2_window: int
     g2_interval: int
-    clean_every: int
     modeled_g1_seconds: float
     modeled_g2_seconds: float
-    #: machine-checked certificates keyed by family: the limb-bound
-    #: certificate for ``clean_every`` plus the native CIOS certificate
+    #: machine-checked certificates of the scalar field's compiled
+    #: kernels, keyed by family (``native-mont``, ``native-jacobian``)
     certificate: Dict
     #: "search" when freshly tuned, "disk" when a persisted profile
     #: passed re-certification and revalidation
@@ -83,13 +78,13 @@ def _native_point_muls(engine):
     to the compiled kernels (scalar backend, ``REPRO_NATIVE=0``,
     over-wide modulus, unsupported coordinate field)."""
     from repro.backend import get_backend
-    from repro.backend.numpy_curve import native_point_op_muls
+    from repro.backend.native_curve import native_point_op_muls
 
     try:
         backend = get_backend(engine.backend)
     except Exception:
         return None
-    if getattr(backend, "name", "") != "numpy":
+    if getattr(backend, "name", "") != "native":
         return None
     return native_point_op_muls(engine.group)
 
@@ -137,7 +132,7 @@ class KernelAutotuner:
     def __init__(self, persist: bool = True):
         self.persist = persist
         self._msm_memo: Dict[Tuple, object] = {}
-        self._cadence_memo: Dict[int, Tuple[int, Dict]] = {}
+        self._cert_memo: Dict[int, Dict] = {}
 
     # -- MSM (k, M) -------------------------------------------------------------
 
@@ -242,77 +237,34 @@ class KernelAutotuner:
         self._last_modeled_seconds = seconds
         return cfg
 
-    # -- carry-clean cadence ----------------------------------------------------
+    # -- kernel certificates ----------------------------------------------------
 
-    def tune_cadence(self, modulus: int,
-                     name: str = "") -> Tuple[int, Dict]:
-        """The largest certifier-safe carry-clean cadence for one
-        modulus, with its machine-checked certificate (as a dict).
-
-        The cost model is trivial but real: sweep cost falls
-        monotonically as cleans get rarer, so the optimum under the
-        safety constraint *is* the constraint's boundary — and the
-        boundary comes from the certifier's worst-case sweep
-        simulation, never from this module. The certificate is
-        re-derived (not just re-read) every time, so an unsafe cadence
-        can never be smuggled in through a stale or tampered profile.
-        """
-        cached = self._cadence_memo.get(modulus)
+    def certify(self, modulus: int, name: str = "") -> Dict:
+        """The compiled kernels' certificates for one modulus (as
+        dicts keyed by family); raises :class:`TuningError` when either
+        family rejects it. The certificates are re-derived, never read
+        back from a profile on disk."""
+        cached = self._cert_memo.get(modulus)
         if cached is not None:
             return cached
         from repro.analysis.bounds import (
-            certified_safe_clean_every,
             certify_native_jacobian,
             certify_native_mont,
-            certify_numpy_limb,
-            limb_geometry,
         )
-        from repro.backend.numpy_limb import LIMB_BITS
 
-        geom = limb_geometry(modulus, LIMB_BITS)
-        cadence = certified_safe_clean_every(LIMB_BITS, geom.lg)
-        cert = certify_numpy_limb(name or f"mod-{geom.bits}b", modulus,
-                                  clean_every=cadence)
-        if not cert.ok:  # pragma: no cover - the safe bound certifies
-            raise TuningError(
-                f"certifier rejected clean_every={cadence} for a "
-                f"{geom.bits}-bit modulus: tuned cadence is not safe"
-            )
-        # The tuned pipeline also routes through the compiled CIOS
-        # kernels; refuse to tune a modulus they cannot certify.
-        native_cert = certify_native_mont(name or f"mod-{geom.bits}b",
-                                          modulus)
-        if not native_cert.ok:
-            raise TuningError(
-                f"certifier rejected the native CIOS kernels for a "
-                f"{geom.bits}-bit modulus: "
-                f"{[v.name for v in native_cert.violations()]}"
-            )
-        # The bucket folds run the fused Jacobian point kernels on the
-        # same CIOS floor; a modulus they cannot certify is not tunable.
-        jac_cert = certify_native_jacobian(name or f"mod-{geom.bits}b",
-                                           modulus)
-        if not jac_cert.ok:
-            raise TuningError(
-                f"certifier rejected the native Jacobian kernels for a "
-                f"{geom.bits}-bit modulus: "
-                f"{[v.name for v in jac_cert.violations()]}"
-            )
-        result = (cadence, {"numpy-limb": cert.to_dict(),
-                            "native-mont": native_cert.to_dict(),
-                            "native-jacobian": jac_cert.to_dict()})
-        self._cadence_memo[modulus] = result
-        return result
-
-    def apply_cadence(self, modulus: int, name: str = "") -> int:
-        """Tune and *apply* the cadence to the live limb geometry.
-        :func:`~repro.backend.numpy_limb.configure_clean_cadence`
-        re-checks the certifier bound — the gate holds even if a
-        caller bypasses :meth:`tune_cadence`."""
-        from repro.backend.numpy_limb import configure_clean_cadence
-
-        cadence, _cert = self.tune_cadence(modulus, name)
-        return configure_clean_cadence(modulus, cadence)
+        label = name or f"mod-{modulus.bit_length()}b"
+        certs = {}
+        for cert in (certify_native_mont(label, modulus),
+                     certify_native_jacobian(label, modulus)):
+            if not cert.ok:
+                raise TuningError(
+                    f"certifier rejected the {cert.family} kernels for a "
+                    f"{modulus.bit_length()}-bit modulus: "
+                    f"{[v.name for v in cert.violations()]}"
+                )
+            certs[cert.family] = cert.to_dict()
+        self._cert_memo[modulus] = certs
+        return certs
 
     # -- curve-level profiles ---------------------------------------------------
 
@@ -324,10 +276,10 @@ class KernelAutotuner:
         )
 
     def profile(self, curve, n: int, device=None) -> TunedProfile:
-        """Tune one (curve, size): both MSM groups' (k, M) and the
-        scalar field's certified cadence, persisted as a single JSON
-        profile. A valid persisted profile short-circuits the search
-        but is still re-certified and revalidated on load."""
+        """Tune one (curve, size): both MSM groups' (k, M), persisted
+        as a single JSON profile with the scalar field's kernel
+        certificates. A valid persisted profile short-circuits the
+        search but is still re-certified and revalidated on load."""
         from repro.gpusim import V100
         from repro.msm.gzkp import GzkpMsm
 
@@ -335,14 +287,12 @@ class KernelAutotuner:
         path = self._profile_path(curve.name, n, device.name)
         g1 = GzkpMsm(curve.g1, curve.fr.bits, device)
         g2 = GzkpMsm(curve.g2, curve.fr.bits, device, fq_mul_factor=3.0)
-        cadence, cert = self.tune_cadence(curve.fr.modulus,
-                                          f"{curve.name}.Fr")
+        cert = self.certify(curve.fr.modulus, f"{curve.name}.Fr")
         source = "search"
         if self.persist:
             payload = _read_json(path)
             if payload is not None and \
-                    payload.get("version") == PROFILE_VERSION and \
-                    payload.get("clean_every") == cadence:
+                    payload.get("version") == PROFILE_VERSION:
                 c1 = self._validate_msm(
                     g1, n, {"version": PROFILE_VERSION,
                             "window": payload.get("g1_window"),
@@ -360,7 +310,6 @@ class KernelAutotuner:
                         curve=curve.name, n=n, device=device.name,
                         g1_window=c1.window, g1_interval=c1.interval,
                         g2_window=c2.window, g2_interval=c2.interval,
-                        clean_every=cadence,
                         modeled_g1_seconds=payload.get(
                             "modeled_g1_seconds", math.nan),
                         modeled_g2_seconds=payload.get(
@@ -375,7 +324,6 @@ class KernelAutotuner:
             curve=curve.name, n=n, device=device.name,
             g1_window=c1.window, g1_interval=c1.interval,
             g2_window=c2.window, g2_interval=c2.interval,
-            clean_every=cadence,
             modeled_g1_seconds=s1 if s1 is not None else math.nan,
             modeled_g2_seconds=s2 if s2 is not None else math.nan,
             certificate=cert, source=source,

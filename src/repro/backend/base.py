@@ -12,7 +12,7 @@ This base class is itself a complete backend: every method has a
 pure-Python default that preserves today's exact evaluation order, so
 :class:`~repro.backend.pybackend.PythonBackend` is simply this class
 with a name. Vectorized backends override the methods where batching
-pays (see :mod:`repro.backend.numpy_limb`).
+pays (see :mod:`repro.backend.native_backend`).
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class ComputeBackend:
 
         This is the MSM scalar front-end — every windowed engine starts
         here. The return value is any row-iterable matrix whose rows
-        equal the per-scalar digit lists (the numpy backend returns an
+        equal the per-scalar digit lists (the native backend returns an
         ``(n, windows)`` int64 array; callers that can exploit the array
         form duck-type on ``.nonzero``). Digit values are always exactly
         those of the scalar loop."""
@@ -156,7 +156,7 @@ class ComputeBackend:
 
         This default folds in the engines' original scalar order.
         Overrides MAY reassociate the per-bucket sums (e.g. the
-        segmented tree of :mod:`repro.backend.numpy_curve`) under this
+        segmented tree of :mod:`repro.backend.native_curve`) under this
         contract:
 
         * each resulting bucket is *group-equal* to the ordered fold's,
@@ -185,7 +185,7 @@ class ComputeBackend:
         This default is the exact ordered running-suffix fold of
         :func:`repro.msm.pippenger.bucket_reduce` (2 jadds per bucket),
         counting through ``group.counter`` as the fold always has.
-        Overrides MAY reassociate (e.g. the numpy backend's log-depth
+        Overrides MAY reassociate (e.g. the native backend's log-depth
         batched suffix scan) under the same contract as
         :meth:`accumulate_buckets`: the result may be any group-equal
         Jacobian representative (every consumer normalizes via

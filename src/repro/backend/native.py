@@ -1,6 +1,6 @@
 """Runtime-compiled Montgomery word kernels: the pipeline's native floor.
 
-The segmented bucket reduction (:mod:`repro.backend.numpy_curve`) and the
+The segmented bucket reduction (:mod:`repro.backend.native_curve`) and the
 POLY stage's NTT/pointwise passes spend nearly all of their time in
 full-width modular multiplications. Pure NumPy limb arithmetic tops out
 around 600 ns per 381-bit multiply on one core — barely 2x the CPython
@@ -8,7 +8,9 @@ big-int it replaces — because every product pays ~40 array passes of
 memory traffic. A single tight CIOS loop in C does the same multiply in
 ~100 ns (381-bit) / ~340 ns (753-bit), which is what buys the MSM
 ablation its headroom and, since this module grew the Stockham sweep,
-the full-proof native ablation too.
+the full-proof native ablation too. :class:`~repro.backend.
+native_backend.NativeBackend` exposes these kernels as the ``native``
+compute backend.
 
 So this module compiles one small C file (batch kernels: CIOS Montgomery
 multiply, modular add/sub, a fused batch-affine combine, a whole-vector
@@ -64,10 +66,7 @@ import time
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # keep importable without numpy (mirrors numpy_limb)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
 __all__ = ["native_available", "get_native_field", "NativeField",
            "NATIVE_ENV_VAR", "reset_native", "kernel_events",
@@ -232,8 +231,8 @@ void mont_powers(uint64_t *out, const uint64_t *one, const uint64_t *g,
 }
 
 /* Whole-vector Stockham radix-2 NTT sweep: natural order in and out,
-   no bit-reversal, mirroring the numpy limb engine's pass structure
-   (and therefore the scalar DIT reference, bit for bit).
+   no bit-reversal, with the scalar DIT reference's pass structure and
+   twiddles (and therefore its outputs, bit for bit).
 
    data holds n raw canonical rows; tw holds the shared twiddle table
    in Montgomery form laid out exactly like repro.ntt.twiddle
@@ -498,7 +497,7 @@ void jac_madd_fp(uint64_t *ox, uint64_t *oy, uint64_t *oz,
 
    Packed rows: a lane is 2w contiguous words, [c0 words | c1 words].
    Karatsuba product (3 base muls, mirroring _ExtLanes.mul in
-   numpy_curve): t0 = a0*b0, t2 = a1*b1, t1 = (a0+a1)(b0+b1) - t0 - t2,
+   native_curve): t0 = a0*b0, t2 = a1*b1, t1 = (a0+a1)(b0+b1) - t0 - t2,
    result = (t0 - c0*t2, t1). c0m is the Montgomery row of c0, or NULL
    when c0 == 1 (the reduction mul is skipped). */
 
@@ -1002,7 +1001,7 @@ def _get_lib():
             _record_event("native-kernel-disabled",
                           f"{NATIVE_ENV_VAR} disables the compiled "
                           "kernels; scalar fallback")
-        elif _np is not None:
+        else:
             _LIB = _compile_and_load()
     return _LIB
 

@@ -270,7 +270,7 @@ class GzkpMsm:
             with maybe_span(telemetry, "point-merging"), \
                     _maybe_phase(counter, "point-merging"):
                 # Scalar front-end: every window of every scalar in one
-                # backend call (vectorized word extraction on numpy).
+                # backend call (vectorized word extraction on native).
                 dm = backend.digits_matrix(scalars, self.scalar_bits, k)
                 if hasattr(dm, "nonzero"):
                     # Array form: entry construction touches only the
@@ -297,7 +297,7 @@ class GzkpMsm:
                                 (residual * n_buckets + d - 1,
                                  table[block][i])
                             )
-                # Backends may reassociate each bucket's sum (the numpy
+                # Backends may reassociate each bucket's sum (the native
                 # backend runs a sorted segmented batch-affine tree) and
                 # return any group-equal Jacobian representative; the
                 # fold below only jadd/jdoubles them, so the final point

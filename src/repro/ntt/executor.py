@@ -30,9 +30,9 @@ def run_batched_ntt(field: PrimeField, values: Sequence[int], plan: BatchPlan,
     ``omega`` defaults to the primitive N-th root; pass its inverse (and
     post-scale by 1/N) for an inverse transform.
 
-    The ``python`` backend (the default) walks the plan's gather/
-    scatter schedule element by element — the geometry the performance
-    model reasons about. A backend with fused sweeps (``numpy``) runs
+    The ``python`` backend walks the plan's gather/scatter schedule
+    element by element — the geometry the performance model reasons
+    about. A backend with fused sweeps (``native``) runs
     the whole transform in one batched engine call instead: the result
     stays byte-identical and the emitted op-count totals are unchanged
     (the plan only redistributes the same butterflies), so traces never

@@ -16,7 +16,9 @@ Layering (ingest -> shard dispatch -> worker -> verify pool):
   witness never crosses the boundary as a pickle.  Each worker has one
   dispatcher coroutine enforcing the per-job timeout; on expiry (or
   worker death) the process is terminated and respawned and the job
-  retried up to ``retries`` more times on its shard.
+  retried up to ``retries`` more times on its shard.  A worker that
+  died while idle is replaced before the next dispatch, so its death
+  costs that job no attempt.
 * **Verify pool** — proof verification runs in a bounded parent-side
   thread pool *after* the worker round-trip, so the prover pipeline is
   never serialized behind pairing checks (the fork-pool design spent
@@ -138,6 +140,16 @@ class _WorkerProc:
 
     def send(self, frame: bytes) -> None:
         wire.write_frame(self.task_fd, frame)
+
+    def died_idle(self) -> bool:
+        """True when the worker exited, or its result stream ended,
+        while no job was in flight.  Only call between jobs: anything
+        still queued then is a stale frame, so it is dropped."""
+        dead = not self.process.is_alive()
+        while not self.results.empty():
+            if self.results.get_nowait() is _DEAD:
+                dead = True
+        return dead
 
     def kill(self) -> None:
         if self.process.is_alive():
@@ -286,6 +298,11 @@ class Pipeline:
 
     async def _run_job(self, slot: _WorkerSlot, item: JobItem) -> None:
         while True:
+            if slot.proc.died_idle():
+                # the worker died between jobs: replace it before
+                # dispatch, so its death costs this job no attempt
+                slot.proc.kill()
+                slot.proc = self._spawn(slot.index, slot.shard)
             worker = slot.proc
             ticket = self._next_ticket()
             frame = wire.encode_job_frame(ticket, item.shard, item.job_id,
@@ -308,13 +325,16 @@ class Pipeline:
             if item.attempts <= self.retries:
                 item.attempts += 1
                 continue
-            reason = ("timed out" if failure == "timeout"
-                      else "worker process died")
+            if failure == "timeout":
+                error = (f"timed out after {item.attempts} attempt(s) "
+                         f"of {self.timeout}s")
+            else:
+                error = (f"worker process died after {item.attempts} "
+                         "attempt(s)")
             result = self._wrap_result({
                 "job_id": item.job_id, "ok": False,
                 "curve": item.curve, "circuit": item.circuit,
-                "error": (f"{reason} after {item.attempts} attempt(s) "
-                          f"of {self.timeout}s"),
+                "error": error,
                 "error_kind": ("timeout" if failure == "timeout"
                                else "internal"),
                 "worker": slot.index, "telemetry": {},

@@ -35,9 +35,11 @@ Reliability model:
 * each job attempt has an optional wall-clock ``timeout``; on expiry
   the worker is terminated and respawned and the job retried up to
   ``retries`` more times before failing;
-* when the requested compute backend (or the native C kernels under
-  it) is unavailable, the job still runs — on the scalar python path —
-  and the downgrade is recorded in the job's telemetry events.
+* jobs run on the ``native`` kernel floor unless they (or
+  ``$REPRO_BACKEND``) name another backend; when the requested backend
+  (or the native C kernels under it) is unavailable, the job still
+  runs — on the scalar python path — and the downgrade is recorded in
+  the job's telemetry events.
 
 Setups are deterministic per (curve, circuit): both the parent and any
 external verifier can re-derive the verifying key from the public seed
@@ -193,9 +195,8 @@ class ProvingService:
       invalid window survives with probability below
       ``2**-soundness_bits``.
     * ``autotune`` — hand each prover's MSM (window, interval) choice
-      and the numpy backend's carry-clean cadence to the
-      :class:`~repro.backend.autotune.KernelAutotuner` instead of the
-      static ``msm_window``/``msm_interval`` defaults.  Tuned profiles
+      to the :class:`~repro.backend.autotune.KernelAutotuner` instead of
+      the static ``msm_window``/``msm_interval`` defaults.  Tuned profiles
       persist in the native kernel cache directory, so forked workers
       read them instead of re-searching; tuning never changes proof
       bytes.

@@ -5,7 +5,7 @@ ZKProphet's lesson (PAPERS.md): understanding ZKP performance requires
 split — not a single end-to-end number. This module provides nested
 wall-clock spans that also capture :class:`~repro.ff.opcount.OpCounter`
 deltas, so every proof the service emits reports both *where its time
-went* and *what work was counted there*, on the python and numpy
+went* and *what work was counted there*, on the python and native
 backends alike.
 
 Design:

@@ -62,31 +62,30 @@ def reset_backend_state() -> None:
 def resolve_backend(requested: Optional[str],
                     telemetry: Telemetry) -> str:
     """Pick the compute backend for a job, degrading gracefully: an
-    unavailable backend falls back to the scalar python path, missing
-    native kernels under numpy are noted — both as telemetry events.
-    Any native loader events queued since the last job (compiles,
-    cache hits, self-heals, compile failures) are forwarded into the
-    job's telemetry so operators see them without scraping stderr."""
-    from repro.backend import available_backends
+    unknown backend, or ``native`` without loadable kernels, falls back
+    to the scalar python path with a ``backend-downgrade`` telemetry
+    event. Any native loader events queued since the last job
+    (compiles, cache hits, self-heals, compile failures) are forwarded
+    into the job's telemetry so operators see them without scraping
+    stderr."""
+    from repro.backend import (BACKEND_ENV_VAR, DEFAULT_BACKEND,
+                               available_backends)
     from repro.backend.native import drain_kernel_events, native_available
 
     name = (requested
-            or os.environ.get("REPRO_BACKEND", "python").strip()
-            or "python")
+            or os.environ.get(BACKEND_ENV_VAR, "").strip()
+            or DEFAULT_BACKEND)
+    reason = None
     if name not in available_backends():
-        telemetry.record_event(
-            "backend-downgrade",
-            f"{name} -> python (backend unavailable)",
-            requested=name, used="python",
-        )
+        reason = "backend unavailable"
+    elif name == "native" and not native_available():
+        reason = "native C kernels unavailable"
+    if reason is not None:
+        telemetry.record_event("backend-downgrade",
+                               f"{name} -> python ({reason})",
+                               requested=name, used="python")
         name = "python"
-    if name == "numpy" and not native_available():
-        telemetry.record_event(
-            "native-kernel-fallback",
-            "native C kernels unavailable: numpy scalar bucket fold",
-            backend=name,
-        )
-    elif name == "python" and not native_available():
+    if name == "python" and not native_available():
         telemetry.record_event(
             "native-kernel-fallback",
             "native C kernels unavailable: pure-python field arithmetic",

@@ -64,17 +64,14 @@ def make_gzkp_prover(r1cs: R1CS, pk: ProvingKey, curve: CurvePair,
     :class:`~repro.backend.autotune.KernelAutotuner` (or the shared
     ``tuner`` instance, if given): both MSM engines take their (k, M)
     from its joint cost-model search / persisted profiles (explicit
-    ``msm_window``/``msm_interval`` still win), and the scalar field's
-    carry-clean cadence is raised to the certifier-gated maximum. The
-    tuner is exposed as ``prover.tuner``; tuning never changes proof
-    bytes, only throughput.
+    ``msm_window``/``msm_interval`` still win). The tuner is exposed as
+    ``prover.tuner``; tuning never changes proof bytes, only
+    throughput.
     """
     if autotune and tuner is None:
         from repro.backend.autotune import KernelAutotuner
 
         tuner = KernelAutotuner()
-    if tuner is not None:
-        tuner.apply_cadence(curve.fr.modulus, f"{curve.name}.Fr")
     ntt_engine = GzkpNtt(curve.fr, device, backend=backend)
     msm_g1 = GzkpMsm(curve.g1, curve.fr.bits, device,
                      window=msm_window, interval=msm_interval,

@@ -202,7 +202,7 @@ def test_cli_bounds_only_passes_and_writes_json(tmp_path, capsys):
 
     data = json.loads(out.read_text())
     assert data["ok"] is True
-    assert len(data["certificates"]) == 30
+    assert len(data["certificates"]) == 18
 
 
 def test_cli_fails_on_bound_violation(tmp_path, monkeypatch, capsys):
@@ -210,9 +210,10 @@ def test_cli_fails_on_bound_violation(tmp_path, monkeypatch, capsys):
     from repro.analysis import __main__ as cli
     from repro.ff.params import SCALAR_FIELDS
 
-    r = SCALAR_FIELDS["ALT-BN128"].modulus
-    weak = bounds.certify_numpy_limb(
-        "weak", r, clean_every=8 * bounds.limb_geometry(r).clean_every)
+    # an even modulus has no Montgomery n0inv: a structural violation
+    weak = bounds.certify_native_mont(
+        "weak", SCALAR_FIELDS["ALT-BN128"].modulus + 1)
+    assert not weak.ok
     monkeypatch.setattr(cli, "certify_all", lambda: [weak])
     assert cli.main(["--no-lint", str(tmp_path / "nothing")]) == 1
     assert "VIOLATION" in capsys.readouterr().out

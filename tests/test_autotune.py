@@ -1,5 +1,5 @@
 """Cost-model autotuner: search determinism, disk round-trip, and the
-certifier gate that every tuned cadence must clear."""
+certifier gate every tuned profile must clear."""
 
 import random
 
@@ -12,8 +12,6 @@ from repro.backend.autotune import (
     TuningError,
 )
 from repro.curves import CURVES
-from repro.errors import FieldError
-from repro.ff.params import SCALAR_FIELDS
 
 
 @pytest.fixture()
@@ -53,11 +51,14 @@ def test_profile_search_is_deterministic(private_cache):
     curve = CURVES["ALT-BN128"]
     a = KernelAutotuner(persist=False).profile(curve, 256)
     b = KernelAutotuner(persist=False).profile(curve, 256)
-    assert (a.g1_window, a.g1_interval, a.g2_window, a.g2_interval,
-            a.clean_every) == \
-        (b.g1_window, b.g1_interval, b.g2_window, b.g2_interval,
-         b.clean_every)
+    assert (a.g1_window, a.g1_interval, a.g2_window, a.g2_interval) == \
+        (b.g1_window, b.g1_interval, b.g2_window, b.g2_interval)
     assert a.source == b.source == "search"
+    # the profile carries the compiled kernels' machine-checked
+    # certificates, all passing
+    assert isinstance(a, TunedProfile)
+    assert set(a.certificate) == {"native-mont", "native-jacobian"}
+    assert all(c["ok"] for c in a.certificate.values())
 
 
 def test_profile_disk_round_trip(private_cache):
@@ -67,10 +68,9 @@ def test_profile_disk_round_trip(private_cache):
     reloaded = KernelAutotuner().profile(curve, 256)
     assert reloaded.source == "disk"
     assert (reloaded.g1_window, reloaded.g1_interval,
-            reloaded.g2_window, reloaded.g2_interval,
-            reloaded.clean_every) == \
+            reloaded.g2_window, reloaded.g2_interval) == \
         (fresh.g1_window, fresh.g1_interval,
-         fresh.g2_window, fresh.g2_interval, fresh.clean_every)
+         fresh.g2_window, fresh.g2_interval)
 
 
 def test_tampered_profile_is_resought(private_cache):
@@ -93,46 +93,30 @@ def test_tampered_profile_is_resought(private_cache):
     assert os.path.exists(path)
 
 
-@pytest.mark.parametrize("curve_name", sorted(SCALAR_FIELDS))
-def test_tuned_cadence_is_certified(private_cache, curve_name):
-    tuner = KernelAutotuner(persist=False)
-    modulus = SCALAR_FIELDS[curve_name].modulus
-    cadence, certs = tuner.tune_cadence(modulus, f"{curve_name}.Fr")
-    assert cadence >= 2
-    assert set(certs) == {"numpy-limb", "native-mont", "native-jacobian"}
-    for fam, cert in certs.items():
-        assert cert["ok"], fam
-    # the profile-level certificate is the same machine-checked object
-    prof = tuner.profile(CURVES[curve_name], 128)
-    assert isinstance(prof, TunedProfile)
-    assert prof.clean_every == cadence
-    assert all(c["ok"] for c in prof.certificate.values())
+def test_profile_with_carry_cadence_is_resought(private_cache):
+    """A version-1 profile on disk (it still carries the retired
+    ``clean_every`` cadence) is searched again instead of loaded, and
+    never crashes the tuner."""
+    import json
 
-
-def test_weakened_cadence_cannot_be_applied(private_cache):
-    """The runtime gate (configure_clean_cadence) rejects any cadence
-    past the certified bound — the path a tampered tuner would take."""
-    nl = pytest.importorskip("repro.backend.numpy_limb")
-    if not nl.numpy_available():
-        pytest.skip("numpy not available")
-    from repro.analysis.bounds import certified_safe_clean_every, limb_geometry
-
-    modulus = SCALAR_FIELDS["ALT-BN128"].modulus
-    geom = limb_geometry(modulus, nl.LIMB_BITS)
-    safe = certified_safe_clean_every(nl.LIMB_BITS, geom.lg)
-    with pytest.raises(FieldError):
-        nl.configure_clean_cadence(modulus, safe + 1)
-    # the certified maximum itself applies cleanly, and None restores
-    # the conservative formula default
-    assert nl.configure_clean_cadence(modulus, safe) == safe
-    restored = nl.configure_clean_cadence(modulus, None)
-    assert 2 <= restored <= safe
+    curve = CURVES["ALT-BN128"]
+    tuner = KernelAutotuner()
+    prof = tuner.profile(curve, 256)
+    path = tuner._profile_path(curve.name, 256, prof.device)
+    payload = json.loads(open(path).read())
+    payload.update(version=1, clean_every=12)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    reloaded = KernelAutotuner().profile(curve, 256)
+    assert reloaded.source == "search"
+    assert reloaded.g1_window == prof.g1_window
+    assert "clean_every" not in json.loads(open(path).read())
 
 
 def test_uncertifiable_modulus_raises(private_cache):
     tuner = KernelAutotuner(persist=False)
-    with pytest.raises((TuningError, Exception)):
-        tuner.tune_cadence((1 << 64) - 2, "even")  # no n0inv exists
+    with pytest.raises(TuningError, match="native-mont"):
+        tuner.certify((1 << 64) - 2, "even")  # no n0inv exists
 
 
 def test_autotuned_proof_is_byte_identical(private_cache):

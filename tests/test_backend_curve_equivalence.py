@@ -1,7 +1,7 @@
 """Batched SoA curve kernels vs the scalar reference.
 
-The numpy backend's vectorized Jacobian kernels and segmented bucket
-reduction (:mod:`repro.backend.numpy_curve`) must be *bit-identical* to
+The native backend's batched Jacobian kernels and segmented bucket
+reduction (:mod:`repro.backend.native_curve`) must be *bit-identical* to
 the scalar group law on every curve — including every special case
 (infinity, doubling, cancellation, mixed representatives) — and must
 emit identical op-count totals. The one documented relaxation: bucket
@@ -19,21 +19,18 @@ import random
 
 import pytest
 
-from repro.backend import get_backend
-from repro.backend import numpy_curve
+from repro.backend import NativeBackend, get_backend
+from repro.backend import native_curve
 from repro.backend.native import native_available
-from repro.backend.numpy_curve import (
+from repro.backend.native_curve import (
     accumulate_buckets_segmented,
     batch_jadd,
     batch_jdouble,
     batch_jmixed_add,
     supports_group,
-    _vec_field,
 )
 from repro.curves import CURVES
 from repro.ff.opcount import OpCounter
-
-numpy = pytest.importorskip("numpy")
 
 CURVE_NAMES = ["ALT-BN128", "BLS12-381", "MNT4753"]
 
@@ -64,40 +61,8 @@ def jacobian_reps(group, pts, start=2):
     return out
 
 
-@pytest.mark.parametrize("name", CURVE_NAMES)
-class TestVecFieldExact:
-    """The int64 limb engine under the batch kernels is exact, including
-    chained products (the top-limb fold keeps magnitudes bounded)."""
-
-    def test_mul_chains(self, name):
-        q = CURVES[name].fq.modulus
-        vf = _vec_field(q)
-        rng = random.Random(q % 10007)
-        m = 129
-        av = [rng.randrange(q) for _ in range(m)]
-        bv = [rng.randrange(q) for _ in range(m)]
-        a, b = vf.from_ints(av), vf.from_ints(bv)
-        c = vf.mul(a, b)
-        assert vf.to_ints(c) == [x * y % q for x, y in zip(av, bv)]
-        d = vf.mul(c, c)
-        e = vf.mul(vf.mul(d, d), vf.mul(d, a))
-        assert vf.to_ints(e) == [
-            pow(x * y, 6, q) * x % q for x, y in zip(av, bv)
-        ]
-
-    def test_add_sub_small_chains(self, name):
-        q = CURVES[name].fq.modulus
-        vf = _vec_field(q)
-        rng = random.Random(q % 65537)
-        av = [rng.randrange(q) for _ in range(64)]
-        bv = [rng.randrange(q) for _ in range(64)]
-        a, b = vf.from_ints(av), vf.from_ints(bv)
-        r = vf.sub(vf.mul_small(vf.add(a, b), 8), vf.mul(a, vf.from_const(777)))
-        assert vf.to_ints(r) == [
-            ((x + y) * 8 - x * 777) % q for x, y in zip(av, bv)
-        ]
-
-
+@pytest.mark.skipif(not native_available(),
+                    reason="no C compiler for the native kernels")
 @pytest.mark.parametrize("name", CURVE_NAMES)
 class TestBatchKernelsBitIdentical:
     """batch_j* == the scalar loop, lane for lane, count for count.
@@ -147,18 +112,49 @@ class TestBatchKernelsBitIdentical:
     def test_backend_dispatch_matches_python(self, name, monkeypatch):
         """Through the public backend API (thresholds lowered so the
         vector path engages at test sizes)."""
-        monkeypatch.setattr(numpy_curve, "MIN_VECTOR_LANES", 1)
-        npb = get_backend("numpy")
+        monkeypatch.setattr(native_curve, "MIN_VECTOR_LANES", 1)
+        nb = get_backend("native")
         g1 = CURVES[name].g1
         pts = offset_chain(g1, 8, seed=4)
         jp = [g1.to_jacobian(p) for p in pts]
-        assert npb.batch_jdouble(g1, jp) == PY.batch_jdouble(g1, jp)
-        assert npb.batch_jadd(g1, jp, jp[::-1]) == PY.batch_jadd(
+        assert nb.batch_jdouble(g1, jp) == PY.batch_jdouble(g1, jp)
+        assert nb.batch_jadd(g1, jp, jp[::-1]) == PY.batch_jadd(
             g1, jp, jp[::-1]
         )
-        assert npb.batch_jmixed_add(g1, jp, pts) == PY.batch_jmixed_add(
+        assert nb.batch_jmixed_add(g1, jp, pts) == PY.batch_jmixed_add(
             g1, jp, pts
         )
+
+
+def test_batch_kernels_fall_back_without_native(monkeypatch):
+    """With no native field for the group the batch kernels run the
+    scalar formulas lane by lane — bit-identical, count-identical, and
+    noted as a fallback in the coverage tally."""
+    from repro.backend import coverage
+
+    monkeypatch.setattr(native_curve, "get_native_field",
+                        lambda modulus: None)
+    g1 = CURVES["BLS12-381"].g1
+    pts = offset_chain(g1, 8, seed=15)
+    jz = jacobian_reps(g1, pts)
+    jp = [g1.to_jacobian(p) for p in pts]
+    inf = (1, 1, 0)
+    cases = [
+        (batch_jdouble, g1.jdouble, (jz + [inf],)),
+        (batch_jadd, g1.jadd, (jz + [inf], jp + [jp[0]])),
+        (batch_jmixed_add, g1.jmixed_add, (jz + [jz[0]], list(pts) + [None])),
+    ]
+    coverage.reset()
+    for batch_fn, scalar_fn, args in cases:
+        c_ref, c_got = OpCounter(), OpCounter()
+        g1.counter = c_ref
+        exp = [scalar_fn(*lane) for lane in zip(*args)]
+        g1.counter = c_got
+        got = batch_fn(g1, *args)
+        g1.counter = None
+        assert got == exp
+        assert c_ref._totals == c_got._totals
+    assert coverage.drain() == {"jacobian": {"fallback": 3}}
 
 
 @pytest.mark.skipif(not native_available(),
@@ -233,12 +229,12 @@ class TestSegmentedBuckets:
         assert accumulate_buckets_segmented(g1, buckets, entries) is None
 
     def test_backend_falls_back_without_native(self, monkeypatch):
-        """With the native kernels gone the numpy backend silently uses
+        """With the native kernels gone the native backend silently uses
         the scalar fold — same buckets, same counts."""
-        monkeypatch.setattr(numpy_curve, "get_native_field",
+        monkeypatch.setattr(native_curve, "get_native_field",
                             lambda modulus: None)
-        monkeypatch.setattr(numpy_curve, "SEGMENTED_MIN_ENTRIES", 1)
-        npb = get_backend("numpy")
+        monkeypatch.setattr(native_curve, "SEGMENTED_MIN_ENTRIES", 1)
+        nb = NativeBackend()
         g1 = CURVES["BLS12-381"].g1
         o = g1.ops
         entries = self._entries(g1, 96, 8, seed=12)
@@ -249,7 +245,7 @@ class TestSegmentedBuckets:
         g1.counter = c_ref
         PY.accumulate_buckets(g1, ref, entries)
         g1.counter = c_vec
-        npb.accumulate_buckets(g1, got, entries)
+        nb.accumulate_buckets(g1, got, entries)
         g1.counter = None
         assert got == ref  # scalar fold: bit-identical, not just group-equal
         assert c_ref._totals == c_vec._totals
@@ -270,7 +266,7 @@ def test_e2e_msm_count_parity():
     pts = offset_chain(g1, n, seed=14)
     scalars = [rng.randrange(curve.fr.modulus) for _ in range(n)]
     results, totals = [], []
-    for backend in ("python", "numpy"):
+    for backend in ("python", "native"):
         msm = GzkpMsm(g1, curve.fr.bits, V100, window=4, interval=8,
                       backend=backend)
         counter = OpCounter()

@@ -1,6 +1,8 @@
-"""Cross-backend equality: PythonBackend and NumpyLimbBackend must be
+"""Cross-backend equality: PythonBackend and NativeBackend must be
 bit-identical on every operation, every modulus, every size — backends
-change how the math runs, never what it computes or counts."""
+change how the math runs, never what it computes or counts. ``NB`` is
+a direct instance, so without the compiled kernels (``REPRO_NATIVE=0``)
+these tests exercise its per-op scalar fallbacks."""
 
 import random
 
@@ -9,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import (
-    NumpyLimbBackend,
+    NativeBackend,
     PythonBackend,
     available_backends,
     get_backend,
     register_backend,
 )
+from repro.backend.native import native_available
 from repro.curves import bn128_g1
 from repro.ff import OpCounter
 from repro.ff.params import (
@@ -29,7 +32,7 @@ from repro.ntt.reference import intt, ntt
 from repro.gpusim import V100
 
 PY = PythonBackend()
-NP = NumpyLimbBackend()
+NB = NativeBackend()
 
 #: the three bit-widths of the paper's curves (254/255-, 381-, 753-bit)
 FIELDS = [ALT_BN128_R, BLS12_381_R, BLS12_381_Q, MNT4753_R]
@@ -49,17 +52,17 @@ class TestElementwiseOps:
         xs = rand_vec(field, n, seed=n * 7 + field.bits)
         ys = rand_vec(field, n, seed=n * 13 + field.bits)
         k = rand_vec(field, 1, seed=99)[0] if n else 3
-        assert NP.vadd(field, xs, ys) == PY.vadd(field, xs, ys)
-        assert NP.vsub(field, xs, ys) == PY.vsub(field, xs, ys)
-        assert NP.vmul(field, xs, ys) == PY.vmul(field, xs, ys)
-        assert NP.vneg(field, xs) == PY.vneg(field, xs)
-        assert NP.vscale(field, xs, k) == PY.vscale(field, xs, k)
-        assert NP.vmul_powers(field, xs, k) == PY.vmul_powers(field, xs, k)
+        assert NB.vadd(field, xs, ys) == PY.vadd(field, xs, ys)
+        assert NB.vsub(field, xs, ys) == PY.vsub(field, xs, ys)
+        assert NB.vmul(field, xs, ys) == PY.vmul(field, xs, ys)
+        assert NB.vneg(field, xs) == PY.vneg(field, xs)
+        assert NB.vscale(field, xs, k) == PY.vscale(field, xs, k)
+        assert NB.vmul_powers(field, xs, k) == PY.vmul_powers(field, xs, k)
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
     def test_batch_inv_matches(self, field):
         xs = [v or 1 for v in rand_vec(field, 33, seed=5)]
-        assert NP.batch_inv(field, xs) == PY.batch_inv(field, xs)
+        assert NB.batch_inv(field, xs) == PY.batch_inv(field, xs)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -70,7 +73,7 @@ class TestElementwiseOps:
             min_size=1, max_size=40))
         ys = [pow(x, 3, field.modulus) for x in xs]
         expected = [a * b % field.modulus for a, b in zip(xs, ys)]
-        assert NP.vmul(field, xs, ys) == expected
+        assert NB.vmul(field, xs, ys) == expected
         assert PY.vmul(field, xs, ys) == expected
 
 
@@ -79,36 +82,36 @@ class TestNttEquivalence:
     @pytest.mark.parametrize("log_n", [0, 1, 2, 5, 9])
     def test_forward_matches(self, field, log_n):
         vals = rand_vec(field, 1 << log_n, seed=log_n)
-        assert NP.ntt(field, vals) == PY.ntt(field, vals)
+        assert NB.ntt(field, vals) == PY.ntt(field, vals)
 
     @pytest.mark.parametrize("field", NTT_FIELDS, ids=lambda f: f.name)
     @pytest.mark.parametrize("log_n", [1, 4, 8])
     def test_roundtrip_both_backends(self, field, log_n):
         vals = rand_vec(field, 1 << log_n, seed=31 + log_n)
-        for backend in (PY, NP):
+        for backend in (PY, NB):
             assert backend.intt(field, backend.ntt(field, vals)) == vals
         # ...and the mixed round trips agree too.
-        assert NP.intt(field, PY.ntt(field, vals)) == vals
-        assert PY.intt(field, NP.ntt(field, vals)) == vals
+        assert NB.intt(field, PY.ntt(field, vals)) == vals
+        assert PY.intt(field, NB.ntt(field, vals)) == vals
 
     @pytest.mark.parametrize("field", NTT_FIELDS, ids=lambda f: f.name)
     def test_counts_identical(self, field):
         vals = rand_vec(field, 64, seed=3)
-        c_py, c_np = OpCounter(), OpCounter()
+        c_py, c_nb = OpCounter(), OpCounter()
         PY.ntt(field, vals, counter=c_py)
-        NP.ntt(field, vals, counter=c_np)
-        assert c_py.totals() == c_np.totals()
-        c_py, c_np = OpCounter(), OpCounter()
+        NB.ntt(field, vals, counter=c_nb)
+        assert c_py.totals() == c_nb.totals()
+        c_py, c_nb = OpCounter(), OpCounter()
         PY.intt(field, vals, counter=c_py)
-        NP.intt(field, vals, counter=c_np)
-        assert c_py.totals() == c_np.totals()
+        NB.intt(field, vals, counter=c_nb)
+        assert c_py.totals() == c_nb.totals()
 
     def test_reference_api_routes_backends(self):
         field = BLS12_381_R
         vals = rand_vec(field, 128, seed=8)
-        assert ntt(field, vals, backend="numpy") == ntt(field, vals,
+        assert ntt(field, vals, backend="native") == ntt(field, vals,
                                                         backend="python")
-        assert intt(field, vals, backend="numpy") == intt(field, vals,
+        assert intt(field, vals, backend="native") == intt(field, vals,
                                                           backend="python")
 
     @pytest.mark.parametrize("field", NTT_FIELDS, ids=lambda f: f.name)
@@ -117,12 +120,12 @@ class TestNttEquivalence:
         and count-identical across backends."""
         vals = rand_vec(field, 256, seed=17)
         eng_py = GzkpNtt(field, V100, backend="python")
-        eng_np = GzkpNtt(field, V100, backend="numpy")
-        c_py, c_np = OpCounter(), OpCounter()
-        assert (eng_np.compute(vals, counter=c_np)
+        eng_nb = GzkpNtt(field, V100, backend="native")
+        c_py, c_nb = OpCounter(), OpCounter()
+        assert (eng_nb.compute(vals, counter=c_nb)
                 == eng_py.compute(vals, counter=c_py))
-        assert c_py.totals() == c_np.totals()
-        assert (eng_np.compute_inverse(vals)
+        assert c_py.totals() == c_nb.totals()
+        assert (eng_nb.compute_inverse(vals)
                 == eng_py.compute_inverse(vals))
 
 
@@ -133,13 +136,13 @@ class TestMsmEquivalence:
         scs = [rng.randrange(bn128_g1.order) for _ in range(n)]
         return scs, pts
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", ["python", "native"])
     def test_pippenger_matches_oracle(self, backend):
         scs, pts = self._inputs()
         engine = SubMsmPippenger(bn128_g1, 254, V100, backend=backend)
         assert engine.compute(scs, pts) == naive_msm(bn128_g1, scs, pts)
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", ["python", "native"])
     def test_gzkp_matches_oracle(self, backend):
         scs, pts = self._inputs(seed=9)
         engine = GzkpMsm(bn128_g1, 254, V100, window=8, interval=4,
@@ -149,7 +152,7 @@ class TestMsmEquivalence:
     def test_counts_identical_across_backends(self):
         scs, pts = self._inputs(n=24, seed=4)
         totals = []
-        for backend in ("python", "numpy"):
+        for backend in ("python", "native"):
             counter = OpCounter()
             GzkpMsm(bn128_g1, 254, V100, window=8, interval=4,
                     backend=backend).compute(scs, pts, counter=counter)
@@ -158,19 +161,38 @@ class TestMsmEquivalence:
 
 
 class TestRegistry:
-    def test_available_and_default(self):
+    def test_available_and_default(self, monkeypatch):
         names = available_backends()
-        assert "python" in names and "numpy" in names
+        assert names == ["native", "python"]
         assert get_backend("python") is get_backend("python")
-        assert isinstance(get_backend(None), PythonBackend) or True
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        # the default is the fastest floor, which degrades to python
+        # when the compiled kernels cannot load
+        expected = NativeBackend if native_available() else PythonBackend
+        assert type(get_backend(None)) is expected
+        assert get_backend(None) is get_backend("native")
 
     def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert get_backend(None).name == "numpy"
+        native_name = "native" if native_available() else "python"
+        monkeypatch.setenv("REPRO_BACKEND", "native")
+        assert get_backend(None).name == native_name
         monkeypatch.setenv("REPRO_BACKEND", "python")
         assert get_backend(None).name == "python"
+        monkeypatch.setenv("REPRO_BACKEND", "")
+        assert get_backend(None).name == native_name
         monkeypatch.delenv("REPRO_BACKEND")
-        assert get_backend(None).name == "python"
+        assert get_backend(None).name == native_name
+
+    def test_native_degrades_to_python_without_kernels(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        from repro.backend import native
+
+        native.reset_native()
+        try:
+            assert get_backend("native") is get_backend("python")
+        finally:
+            monkeypatch.undo()
+            native.reset_native()
 
     def test_instance_passthrough(self):
         backend = PythonBackend()
@@ -211,7 +233,7 @@ class TestDigitsMatrix:
         scalars = (self._boundary_scalars(field)
                    + [rng.randrange(field.modulus) for _ in range(40)])
         ref = PY.digits_matrix(scalars, field.bits, window)
-        got = NP.digits_matrix(scalars, field.bits, window)
+        got = NB.digits_matrix(scalars, field.bits, window)
         assert [list(map(int, row)) for row in got] == ref
 
     @pytest.mark.parametrize("field", MODULI, ids=lambda f: f.name)
@@ -222,20 +244,20 @@ class TestDigitsMatrix:
                    for _ in range(128)]
         for window in (6, 16):
             ref = PY.digits_matrix(scalars, field.bits, window)
-            got = NP.digits_matrix(scalars, field.bits, window)
+            got = NB.digits_matrix(scalars, field.bits, window)
             assert [list(map(int, row)) for row in got] == ref
 
     def test_wide_window_falls_back(self):
-        # window > 30 exceeds the two-word lane extraction; the numpy
+        # window > 30 exceeds the two-word lane extraction; the native
         # backend must still answer correctly via the scalar route.
         field = ALT_BN128_R
         scalars = [0, 1, field.modulus - 1]
         ref = PY.digits_matrix(scalars, field.bits, 40)
-        got = NP.digits_matrix(scalars, field.bits, 40)
+        got = NB.digits_matrix(scalars, field.bits, 40)
         assert [list(map(int, row)) for row in got] == ref
 
     def test_empty_vector(self):
-        got = NP.digits_matrix([], 254, 8)
+        got = NB.digits_matrix([], 254, 8)
         assert len(got) == 0
 
     def test_routes_windows_helpers(self):
@@ -247,11 +269,11 @@ class TestDigitsMatrix:
         scalars = [rng.randrange(ALT_BN128_R.modulus) for _ in range(60)]
         scalars[:6] = [0, 0, 1, 1, 1, 0]
         h_py = bucket_histogram(scalars, 254, 7, backend="python")
-        h_np = bucket_histogram(scalars, 254, 7, backend="numpy")
-        assert h_py == h_np
+        h_nb = bucket_histogram(scalars, 254, 7, backend="native")
+        assert h_py == h_nb
         s_py = DigitStats.of(scalars, 254, 7, backend="python")
-        s_np = DigitStats.of(scalars, 254, 7, backend="numpy")
-        assert s_py == s_np
+        s_nb = DigitStats.of(scalars, 254, 7, backend="native")
+        assert s_py == s_nb
 
 
 class TestBucketReduce:
@@ -278,32 +300,32 @@ class TestBucketReduce:
     def test_matches_ordered_fold(self, infinity_at):
         n = 32
         buckets = self._buckets(n, infinity_at)
-        ref_counter, np_counter = OpCounter(), OpCounter()
+        ref_counter, nb_counter = OpCounter(), OpCounter()
         bn128_g1.counter = ref_counter
         try:
             ref = PY.bucket_reduce(bn128_g1, list(buckets))
         finally:
             bn128_g1.counter = None
-        bn128_g1.counter = np_counter
+        bn128_g1.counter = nb_counter
         try:
-            got = NP.bucket_reduce(bn128_g1, list(buckets))
+            got = NB.bucket_reduce(bn128_g1, list(buckets))
         finally:
             bn128_g1.counter = None
         assert bn128_g1.from_jacobian(got) == bn128_g1.from_jacobian(ref)
-        assert np_counter.totals() == ref_counter.totals()
+        assert nb_counter.totals() == ref_counter.totals()
 
     def test_all_infinity(self):
         buckets = self._buckets(32, set(range(32)))
-        got = NP.bucket_reduce(bn128_g1, buckets)
+        got = NB.bucket_reduce(bn128_g1, buckets)
         assert bn128_g1.from_jacobian(got) is None or \
             bn128_g1.jis_infinity(got)
 
     def test_small_input_uses_scalar_path(self):
-        # below the vector-lane threshold the numpy backend delegates
+        # below the vector-lane threshold the native backend delegates
         # to the exact ordered fold
         buckets = self._buckets(5, {1})
         ref = PY.bucket_reduce(bn128_g1, list(buckets))
-        got = NP.bucket_reduce(bn128_g1, list(buckets))
+        got = NB.bucket_reduce(bn128_g1, list(buckets))
         assert bn128_g1.from_jacobian(got) == bn128_g1.from_jacobian(ref)
 
     def test_counter_not_installed_stays_uncounted(self):
@@ -312,5 +334,5 @@ class TestBucketReduce:
         leaves group.counter alone."""
         buckets = self._buckets(32, set())
         assert bn128_g1.counter is None
-        NP.bucket_reduce(bn128_g1, buckets)
+        NB.bucket_reduce(bn128_g1, buckets)
         assert bn128_g1.counter is None

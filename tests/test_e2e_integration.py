@@ -55,17 +55,14 @@ class TestGzkpEnginesInGroth16:
         assert reference.compute_h(assignment) == gzkp.compute_h(assignment)
 
     def test_backend_choice_preserves_proof_and_counts(self, instance):
-        """The compute backend (scalar python vs vectorized numpy)
+        """The compute backend (scalar python vs compiled native)
         changes neither the proof bits nor the curve-op totals of an
         end-to-end Groth16 run."""
-        from repro.backend import available_backends
         from repro.ff.opcount import OpCounter
 
-        if "numpy" not in available_backends():
-            pytest.skip("numpy backend unavailable")
         curve, r1cs, assignment, keys = instance
         proofs, totals = [], []
-        for backend in ("python", "numpy"):
+        for backend in ("python", "native"):
             gzkp = make_gzkp_prover(r1cs, keys.proving_key, curve,
                                     msm_window=5, msm_interval=2,
                                     backend=backend)

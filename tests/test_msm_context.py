@@ -205,7 +205,7 @@ class TestCsrAbcEvaluations:
         r1cs = spec.build(fr)
         assignment = spec.assign(fr, witness)
         ref = r1cs.abc_evaluations(assignment)
-        for backend in ("python", "numpy"):
+        for backend in ("python", "native"):
             got = r1cs.abc_evaluations(assignment, backend=backend)
             assert tuple(map(list, got)) == tuple(map(list, ref))
 
@@ -214,10 +214,10 @@ class TestCsrAbcEvaluations:
         spec = CIRCUIT_REGISTRY["cubic"]
         r1cs = spec.build(fr)
         assignment = spec.assign(fr, (3,))
-        r1cs.abc_evaluations(assignment, backend="numpy")  # builds CSR
+        r1cs.abc_evaluations(assignment, backend="native")  # builds CSR
         r1cs.add_constraint({0: 1}, {0: 1}, {0: 1})
         ref = r1cs.abc_evaluations(assignment)
-        got = r1cs.abc_evaluations(assignment, backend="numpy")
+        got = r1cs.abc_evaluations(assignment, backend="native")
         assert tuple(map(list, got)) == tuple(map(list, ref))
 
 

@@ -26,11 +26,9 @@ from hypothesis import strategies as st
 
 from repro.backend import coverage
 from repro.backend import native
-from repro.backend import numpy_curve
+from repro.backend import native_curve
 from repro.curves import CURVES
 from repro.ff.opcount import OpCounter
-
-numpy = pytest.importorskip("numpy")
 
 pytestmark = pytest.mark.skipif(
     not native.native_available(), reason="no C compiler available")
@@ -161,13 +159,13 @@ def _build_mixed_lanes(group, name, which, kinds):
 @pytest.mark.parametrize("name,which", GROUPS)
 def test_parity_smoke(name, which):
     group = _group(name, which)
-    assert numpy_curve.supports_group(group)
+    assert native_curve.supports_group(group)
     kinds = list(ADD_KINDS) + ["normal", "normal"]
     ps, qs = _build_add_lanes(group, name, which, kinds)
-    _assert_parity(group, numpy_curve.batch_jadd, group.jadd, ps, qs)
+    _assert_parity(group, native_curve.batch_jadd, group.jadd, ps, qs)
     mkinds = list(MIXED_KINDS) + ["normal", "normal"]
     ps, qs = _build_mixed_lanes(group, name, which, mkinds)
-    _assert_parity(group, numpy_curve.batch_jmixed_add, group.jmixed_add,
+    _assert_parity(group, native_curve.batch_jmixed_add, group.jmixed_add,
                    ps, qs)
     # doubling, including infinity and a y == 0-free active mix
     o = group.ops
@@ -178,7 +176,7 @@ def test_parity_smoke(name, which):
     try:
         exp = [group.jdouble(p) for p in pts]
         group.counter = c_vec
-        got = numpy_curve.batch_jdouble(group, pts)
+        got = native_curve.batch_jdouble(group, pts)
     finally:
         group.counter = None
     assert got == exp
@@ -196,7 +194,7 @@ def test_fuzz_jadd_lane_mixes(name, kinds, data):
     which = data.draw(st.sampled_from(["g1", "g2"]), label="group")
     group = _group(name, which)
     ps, qs = _build_add_lanes(group, name, which, kinds)
-    _assert_parity(group, numpy_curve.batch_jadd, group.jadd, ps, qs)
+    _assert_parity(group, native_curve.batch_jadd, group.jadd, ps, qs)
 
 
 @pytest.mark.parametrize("name", CURVE_NAMES)
@@ -207,7 +205,7 @@ def test_fuzz_jmixed_lane_mixes(name, kinds, data):
     which = data.draw(st.sampled_from(["g1", "g2"]), label="group")
     group = _group(name, which)
     ps, qs = _build_mixed_lanes(group, name, which, kinds)
-    _assert_parity(group, numpy_curve.batch_jmixed_add, group.jmixed_add,
+    _assert_parity(group, native_curve.batch_jmixed_add, group.jmixed_add,
                    ps, qs)
 
 
@@ -219,7 +217,7 @@ def test_batch_dispatch_notes_coverage():
     group = CURVES["ALT-BN128"].g1
     pts = [_jrep(group, p, 2 + i) for i, p in enumerate(_pool(
         "ALT-BN128", "g1")[:4])]
-    numpy_curve.batch_jdouble(group, pts)
+    native_curve.batch_jdouble(group, pts)
     snap = coverage.snapshot()
     assert snap.get("jacobian", {}).get("native", 0) >= 1
     summary = coverage.summarize(snap)
@@ -234,14 +232,14 @@ def test_worker_job_emits_native_coverage_event():
 
     state = WorkerState(shard=0, verify_inline=False)
     task = {"job_id": "cov-1", "curve": "ALT-BN128", "circuit": "square",
-            "witness": (7,), "backend": "numpy"}
+            "witness": (7,), "backend": "native"}
     result = execute_job(task, state)
     assert result["ok"], result.get("error")
     events = [e for e in result["telemetry"]["events"]
               if e["kind"] == "native-coverage"]
     assert len(events) == 1
     ev = events[0]
-    # the numpy pipeline with loaded kernels runs these families native
+    # the native pipeline with loaded kernels runs these families native
     # (the tiny square domain skips the NTT sweep, so no ntt tally)
     assert ev["jacobian"]["native"] >= 1
     assert ev["pointwise"]["native"] >= 1
@@ -334,7 +332,7 @@ def test_autotune_pricing_matches_certificate(name):
     from repro.analysis.bounds import certify_native_jacobian
 
     group = CURVES[name].g1
-    muls = numpy_curve.native_point_op_muls(group)
+    muls = native_curve.native_point_op_muls(group)
     assert muls is not None
     cert = certify_native_jacobian(name, group.ops.field.modulus)
     assert cert.ok, [v.name for v in cert.violations()]

@@ -112,10 +112,10 @@ def test_job_ids_and_request_bytes_job(batch_results):
 
 def test_request_roundtrip():
     blob = encode_request("BLS12-381", "product", [123, 456],
-                          backend="numpy")
+                          backend="native")
     req = decode_request(blob)
     assert (req.curve, req.circuit, req.witness, req.backend) == \
-        ("BLS12-381", "product", (123, 456), "numpy")
+        ("BLS12-381", "product", (123, 456), "native")
 
 
 def test_request_decode_strictness():
@@ -217,11 +217,41 @@ def test_native_disabled_worker_still_independently_verifies():
     """Per-worker REPRO_NATIVE=0 changes the compute path, never
     soundness: the scalar-fallback proof verifies against a key
     derived outside the service."""
-    job = ProofJob("ALT-BN128", "cubic", (3,), backend="numpy")
+    job = ProofJob("ALT-BN128", "cubic", (3,), backend="native")
     with ProvingService(workers=1, env={"REPRO_NATIVE": "0"}) as svc:
         off = svc.prove_batch([job])[0]
     assert off.ok and off.verified
     assert _independently_verifies(off)
+
+
+def test_native_job_without_kernels_matches_python_job(monkeypatch):
+    """A job that asks for ``native`` on a worker without the compiled
+    kernels runs on python and says so exactly once; with the zk masks
+    pinned, its proof bytes equal an explicit python job's."""
+    import random
+    import types
+
+    import repro.snark.prover as prover_mod
+
+    # forked workers inherit the pinned mask source
+    monkeypatch.setattr(prover_mod, "random", types.SimpleNamespace(
+        Random=lambda *_args: random.Random(20231017)))
+    jobs = [ProofJob("BLS12-381", "cubic", (6,), backend="native"),
+            ProofJob("BLS12-381", "cubic", (6,), backend="python")]
+    with ProvingService(workers=1, env={"REPRO_NATIVE": "0"}) as svc:
+        native_job, python_job = svc.prove_batch(jobs)
+    assert native_job.ok and native_job.verified
+    assert python_job.ok and python_job.verified
+    assert native_job.backend == python_job.backend == "python"
+    assert native_job.proof_bytes == python_job.proof_bytes
+
+    def downgrades(result):
+        return [e for e in result.telemetry.get("events", [])
+                if e["kind"] == "backend-downgrade"]
+
+    [event] = downgrades(native_job)
+    assert (event["requested"], event["used"]) == ("native", "python")
+    assert downgrades(python_job) == []
 
 
 def test_autotuned_service_proves_and_verifies():
@@ -274,7 +304,7 @@ def test_telemetry_span_nesting_and_ops():
 
 def test_telemetry_events_and_downgrades():
     t = Telemetry()
-    t.record_event("backend-downgrade", "numpy -> python")
+    t.record_event("backend-downgrade", "native -> python")
     t.record_event("retry", "attempt 2")
     assert len(t.downgrades()) == 1
     assert t.to_dict()["events"][1]["kind"] == "retry"

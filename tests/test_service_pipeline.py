@@ -309,6 +309,33 @@ class TestVerifyModes:
             ProvingService(workers=0, verify="sometimes")
 
 
+class TestWorkerDeath:
+    def test_idle_worker_death_is_not_charged_to_the_next_job(self):
+        """A worker killed between jobs is respawned before the next
+        dispatch: with no retries to spare, the next job still proves
+        and verifies, and the service is back to full strength."""
+        import os
+        import signal
+
+        with ProvingService(workers=1, retries=0, parallel_msm=False,
+                            verify="inline") as svc:
+            first = svc.prove_batch([ProofJob(BN, "square", (3,),
+                                              "python")])[0]
+            assert first.ok and first.verified
+            slots = svc._pipeline._slots
+            victim = slots[0].proc.process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            assert not victim.is_alive()
+            second = svc.prove_batch([ProofJob(BN, "cubic", (4,),
+                                               "python")])[0]
+            assert second.ok and second.verified, second.error
+            assert second.attempts == 1
+            assert len(slots) == 1
+            assert slots[0].proc.process is not victim
+            assert slots[0].proc.process.is_alive()
+
+
 class TestBatchedVerifyMode:
     """verify="batched": finished proofs are checked in RLC windows —
     N + 3 Miller loops and one final exponentiation per window."""
