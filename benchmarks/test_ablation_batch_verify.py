@@ -2,8 +2,10 @@
 
 Two layers, matching how the batched verifier ships:
 
-* **Verifier layer** — 32 proofs per curve, verified (a) one at a time
-  (4 Miller loops + 1 final exponentiation each) and (b) as one RLC
+* **Verifier layer** — 32 proofs per curve (all three curves), verified
+  (a) one at a time (4 Miller loops + 1 final exponentiation each: one
+  fresh loop, three replays of the key's prepared G2 lines) and (b) as
+  one RLC
   batch (N + 3 Miller loops + 1 final exponentiation total, MSM folds
   for the C and IC terms, fixed-argument G2 lines replayed from the
   verifying-key cache).  Both paths run warm — the G2 precomputation
@@ -20,8 +22,11 @@ Two layers, matching how the batched verifier ships:
 Results land in EXPERIMENTS.md and BENCH_batch_verify.json.
 
 Set ``BATCH_VERIFY_TINY=1`` (CI smoke) to run a small service batch in
-batched and inline modes with correctness asserts and a
-batched >= inline jobs/sec check — no file writes.
+batched and inline modes with correctness asserts and a check of the
+batched window's economics (one 4-proof window, 4 + 3 Miller loops, one
+final exponentiation) — no file writes. Both jobs/sec figures are
+printed; which mode is faster depends on the host's cores, so it is not
+asserted.
 """
 
 import json
@@ -46,7 +51,7 @@ _MARK_START = "<!-- batch-verify-ablation:start -->"
 _MARK_END = "<!-- batch-verify-ablation:end -->"
 
 BATCH = 32
-VERIFY_CURVES = ("ALT-BN128", "BLS12-381")
+VERIFY_CURVES = ("ALT-BN128", "BLS12-381", "MNT4753")
 
 SERVICE_JOBS = [("square", (3 + i,)) for i in range(8)]
 TINY_JOBS = SERVICE_JOBS[:4]
@@ -123,13 +128,16 @@ def _service_row(verify_mode, jobs_spec):
     assert all(r.ok and r.verified for r in results), [
         (r.job_id, r.error) for r in results if not r.ok
     ]
+    verify_meta = [child["meta"] for r in results
+                   for child in r.job_span["children"]
+                   if child["name"] == "verify"]
     return {
         "kind": "service",
         "verify": verify_mode,
         "jobs": len(jobs),
         "wall_s": round(wall, 4),
         "jobs_per_s": round(len(jobs) / wall, 4),
-    }
+    }, verify_meta
 
 
 def _write_outputs(verify_rows, service_rows):
@@ -148,20 +156,25 @@ def _write_outputs(verify_rows, service_rows):
         "",
         f"Verifier layer: {BATCH} square-circuit proofs per curve, "
         "verified one at a time (4 Miller loops + 1 final exponentiation "
-        "each) vs as one random-linear-combination batch "
+        "each: one fresh loop, three prepared-line replays) vs as one "
+        "random-linear-combination batch "
         f"({BATCH} + 3 Miller loops + 1 final exponentiation total, both "
         "paths warm). Service layer: one batch of "
         f"{len(SERVICE_JOBS)} ALT-BN128 jobs through the service per "
         "verify mode, 2 workers. Raw rows: `BENCH_batch_verify.json`.",
         "",
-        "| curve | batch | per-proof (s) | batched (s) | speedup | "
+        "| curve | batch | per-proof (s) | batched (s) | ms per proof "
+        "(per-proof -> batched) | speedup | "
         "Miller loops (per-proof -> batched) |",
-        "|---|---|---|---|---|---|",
+        "|---|---|---|---|---|---|---|",
     ]
     for r in verify_rows:
         lines.append(
             f"| {r['curve']} | {r['batch']} | {r['per_proof_s']:.2f} | "
-            f"{r['batched_s']:.2f} | {r['speedup']:.1f}x | "
+            f"{r['batched_s']:.2f} | "
+            f"{1e3 * r['per_proof_s'] / r['batch']:.0f} -> "
+            f"{1e3 * r['batched_s'] / r['batch']:.0f} | "
+            f"{r['speedup']:.1f}x | "
             f"{r['per_proof_miller_loops']} -> "
             f"{r['batched_miller_loops']} |"
         )
@@ -190,17 +203,25 @@ def _write_outputs(verify_rows, service_rows):
 
 def test_batch_verify_ablation(regen):
     if TINY:
-        batched = _service_row("batched", TINY_JOBS)
-        inline = _service_row("inline", TINY_JOBS)
-        assert batched["jobs_per_s"] > 0
-        # batched verification is off the worker critical path AND
-        # amortized; it must not lose to per-proof in-worker checks
-        assert batched["jobs_per_s"] >= inline["jobs_per_s"]
+        batched, batched_meta = _service_row("batched", TINY_JOBS)
+        inline, _ = _service_row("inline", TINY_JOBS)
+        print(f"\nservice jobs/s: batched {batched['jobs_per_s']:.3f}, "
+              f"inline {inline['jobs_per_s']:.3f}")
+        assert batched["jobs_per_s"] > 0 and inline["jobs_per_s"] > 0
+        # what batching guarantees is its economics, not a speed win
+        # over per-proof checks running on every worker: all four jobs
+        # share one window of N + 3 Miller loops and one final
+        # exponentiation
+        assert len(batched_meta) == len(TINY_JOBS)
+        for meta in batched_meta:
+            assert meta["window"] == len(TINY_JOBS)
+            assert meta["miller_loops"] == len(TINY_JOBS) + 3
+            assert meta["final_exps"] == 1
         return
 
     def sweep():
         verify_rows = [_verify_row(curve) for curve in VERIFY_CURVES]
-        service_rows = [_service_row(mode, SERVICE_JOBS)
+        service_rows = [_service_row(mode, SERVICE_JOBS)[0]
                         for mode in ("pool", "inline", "batched")]
         return verify_rows, service_rows
 
@@ -224,7 +245,7 @@ def test_batch_verify_ablation(regen):
 
 if __name__ == "__main__":  # manual run without pytest-benchmark
     verify_rows = [_verify_row(curve) for curve in VERIFY_CURVES]
-    service_rows = [_service_row(mode, SERVICE_JOBS)
+    service_rows = [_service_row(mode, SERVICE_JOBS)[0]
                     for mode in ("pool", "inline", "batched")]
     for row in verify_rows + service_rows:
         print(row)

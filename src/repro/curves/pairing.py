@@ -1,31 +1,43 @@
 """Optimal-ate pairings for ALT-BN128 and BLS12-381.
 
 Groth16 verification is a product-of-pairings check; this module makes it
-real for the two curves with standard parameters. The construction is the
-classic full-Fq12 Miller loop (the same algorithm py_ecc uses): G2 points
-over Fq2 are *twisted* into E(Fq12), line functions are evaluated at the
-(embedded) G1 argument, and the Miller accumulator is raised to
-(q^12 - 1)/r in the final exponentiation.
+real for the two curves with standard parameters. The Miller loop runs
+in two halves:
+
+* **line building** — the loop's point doublings/additions and line
+  slopes depend only on the G2 argument Q, so they run on the twist
+  over Fq2, and each line's slope and constant term are embedded into
+  Fq12 by the twist rule (D-twist: times w, w^2, w^3; M-twist: divided
+  by them);
+* **replay** — the lines are evaluated at the G1 argument P and folded
+  into the Fq12 accumulator (a line has five nonzero coefficients, so
+  each fold is a sparse product).
+
+The field maps are exact, so the Miller value is bit-identical to the
+textbook loop over the twisted point in E(Fq12). The accumulator is
+raised to (q^12 - 1)/r in a split final exponentiation: the easy part
+(q^6 - 1)(q^2 + 1) is two Frobenius maps and one inversion, and the
+hard part (q^4 - q^2 + 1)/r, written as four base-q digits, is one
+joint square-and-multiply over the Frobenius images of its base.
 
 Batch verification needs two things beyond the plain pairing:
 
 * a **multi-pairing** API (:class:`MillerAccumulator`) that multiplies
   many Miller values together and pays the final exponentiation once;
 * **fixed-argument precomputation** (:meth:`PairingEngine.prepare_g2`):
-  the Miller loop's point arithmetic depends only on the G2 argument,
-  so for a G2 point that never changes (a verifying key's beta/gamma/
-  delta) the doubling/addition line *coefficients* are computed once
-  and replayed against any G1 argument — a replay is ~4x cheaper than
-  a fresh loop here and bit-identical to it.
+  for a G2 point that never changes (a verifying key's beta/gamma/
+  delta) the lines are built once and replayed against any G1
+  argument — a fresh :meth:`PairingEngine.miller_loop` is exactly
+  "build, then replay", so the two agree bit for bit.
 
 Every pairing entry point takes an optional
 :class:`~repro.ff.opcount.OpCounter` and counts ``miller_loop`` /
 ``final_exp`` / ``g2_precomp`` ops, so callers can machine-check
 pairing economics (a batch of N proofs must cost exactly N+3 Miller
 loops and 1 final exponentiation) instead of trusting a docstring.
-
-This is a verifier-side component — never on the prover's hot path — so
-clarity is preferred over speed throughout.
+``miller_loop``, ``miller_prepared`` and ``final_exponentiate`` never
+call one another, so wrapping them (as a profiler does) counts each
+once.
 
 The MNT4753 surrogate curve is supersingular (embedding degree 2) and
 has no Fq12 tower; its Groth16 path runs a real reduced Tate pairing
@@ -39,9 +51,10 @@ import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.curves.params import BLS_FQ2, BN128_FQ2
 from repro.errors import CurveError
 from repro.ff.extension import ExtElement, ExtensionField
-from repro.ff.params import ALT_BN128_Q, ALT_BN128_R, BLS12_381_Q, BLS12_381_R
+from repro.ff.params import ALT_BN128_R, BLS12_381_R
 
 __all__ = ["PairingEngine", "PreparedG2", "MillerAccumulator",
            "bn128_pairing", "bls12_381_pairing"]
@@ -56,14 +69,9 @@ def _count(counter, op: str, n: int = 1) -> None:
 
 @dataclass(frozen=True)
 class PreparedG2:
-    """Fixed-argument precomputation for one G2 point: the ordered line
-    coefficients of its Miller loop, replayable against any G1 point.
-
-    ``steps`` entries are ``(kind, lam, x, y)`` with ``kind`` either
-    ``"sm"`` (doubling step: square-then-multiply into the accumulator)
-    or ``"m"`` (addition / Frobenius step: multiply only); ``lam`` is
-    the line slope through ``(x, y)``, or ``None`` for a vertical line.
-    """
+    """Fixed-argument precomputation for one G2 point: the ordered lines
+    of its Miller loop, replayable against any G1 point. The step
+    format belongs to the engine that built it."""
 
     engine_name: str
     steps: Tuple[tuple, ...]
@@ -81,7 +89,7 @@ class MillerAccumulator:
     (the optimal-ate engines here and the MNT Tate engine).
 
     Pairs with an infinity component contribute the identity and cost
-    no Miller loop (mirroring ``pairing_product_is_one``).
+    no Miller loop.
     """
 
     def __init__(self, engine, counter=None):
@@ -115,10 +123,70 @@ class MillerAccumulator:
         return self.result() == self.engine.unity
 
 
+class MultiPairingEngine:
+    """What the optimal-ate and Tate engines share: product checks
+    through :class:`MillerAccumulator`, and the per-engine cache of
+    prepared G2 lines.
+
+    A subclass sets ``name`` and ``unity`` and provides
+    ``_lines(g2_point)`` (the Miller loop's lines over a G2 point, the
+    format its ``miller_prepared`` replays) plus the public
+    ``miller_pair`` / ``miller_prepared`` / ``final_exponentiate``.
+    """
+
+    name: str
+
+    def __init__(self):
+        # fixed-argument line caches, keyed by the G2 point's Fq2
+        # coordinates (a verifying key's beta/gamma/delta land here once
+        # and are replayed for every verify under that key)
+        self._prepared: dict = {}
+        self._prepared_lock = threading.Lock()
+
+    def accumulator(self, counter=None) -> MillerAccumulator:
+        """A fresh multi-pairing accumulator over this engine."""
+        return MillerAccumulator(self, counter=counter)
+
+    def pairing_product_is_one(self, pairs, counter=None) -> bool:
+        """Check prod e(P_i, Q_i) == 1 with one shared final
+        exponentiation (how real verifiers batch the Groth16 check)."""
+        acc = self.accumulator(counter=counter)
+        for g1_point, g2_point in pairs:
+            acc.accumulate(g1_point, g2_point)
+        return acc.is_one()
+
+    def prepare_g2(self, g2_point, counter=None) -> PreparedG2:
+        """Build (and cache) the Miller-loop lines of a fixed G2 point.
+
+        Cached per engine keyed by Q's affine Fq2 coordinates — a
+        verifying key's beta/gamma/delta are prepared once and reused
+        by every verify under that key (``g2_precomp`` counts actual
+        builds, so reuse is checkable).
+        """
+        if g2_point is None:
+            raise CurveError("cannot prepare the point at infinity")
+        key = (g2_point[0], g2_point[1])
+        with self._prepared_lock:
+            prepared = self._prepared.get(key)
+        if prepared is not None:
+            return prepared
+        _count(counter, "g2_precomp")
+        prepared = PreparedG2(self.name, self._lines(g2_point))
+        with self._prepared_lock:
+            return self._prepared.setdefault(key, prepared)
+
+    def _check_prepared(self, prepared: PreparedG2) -> None:
+        if prepared.engine_name != self.name:
+            raise CurveError(
+                f"prepared lines are for {prepared.engine_name}, "
+                f"engine is {self.name}"
+            )
+
+
 @dataclass(frozen=True)
 class _PairingParams:
     name: str
-    field_modulus: int
+    fq2: ExtensionField
     curve_order: int
     fq12_modulus_coeffs: Tuple[int, ...]
     # i in Fq2 embeds into Fq12 as (w^6 - twist_shift).
@@ -134,7 +202,7 @@ class _PairingParams:
 
 _BN128 = _PairingParams(
     name="ALT-BN128",
-    field_modulus=ALT_BN128_Q.modulus,
+    fq2=BN128_FQ2,
     curve_order=ALT_BN128_R.modulus,
     fq12_modulus_coeffs=(82, 0, 0, 0, 0, 0, -18, 0, 0, 0, 0, 0),
     twist_shift=9,
@@ -146,7 +214,7 @@ _BN128 = _PairingParams(
 
 _BLS12_381 = _PairingParams(
     name="BLS12-381",
-    field_modulus=BLS12_381_Q.modulus,
+    fq2=BLS_FQ2,
     curve_order=BLS12_381_R.modulus,
     fq12_modulus_coeffs=(2, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 0),
     twist_shift=1,
@@ -157,231 +225,170 @@ _BLS12_381 = _PairingParams(
 )
 
 
-class PairingEngine:
+class PairingEngine(MultiPairingEngine):
     """Miller loop + final exponentiation for one curve family."""
 
     def __init__(self, params: _PairingParams):
+        super().__init__()
         self.params = params
-        self.fq12 = ExtensionField(
-            # Reuse the right base field by modulus.
-            ALT_BN128_Q if params.field_modulus == ALT_BN128_Q.modulus else BLS12_381_Q,
-            list(params.fq12_modulus_coeffs),
-            name=f"{params.name}.Fq12",
-        )
-        self._w = self.fq12.element([0, 1] + [0] * 10)
-        self._w2 = self._w * self._w
-        self._w3 = self._w2 * self._w
-        self._final_exp = (params.field_modulus ** 12 - 1) // params.curve_order
-        # fixed-argument line caches, keyed by the G2 point's Fq2
-        # coordinates (a verifying key's beta/gamma/delta land here once
-        # and are replayed for every batch under that key)
-        self._prepared: dict = {}
-        self._prepared_lock = threading.Lock()
+        self.name = params.name
+        q = params.fq2.base.modulus
+        r = params.curve_order
+        self.fq12 = ExtensionField(params.fq2.base,
+                                   list(params.fq12_modulus_coeffs),
+                                   name=f"{params.name}.Fq12")
+        w = self.fq12.element([0, 1] + [0] * 10)
+        w_k = [self.fq12.one, w, w * w, w * w * w]
+        if params.m_twist:
+            w_k = [x.inverse() for x in w_k]
+        # the twist rule: a G2 coordinate of weight k (slope 1, x 2,
+        # y 3) embeds as iota(a) * w^k, or iota(a) / w^k on an M-twist
+        self._w_k = w_k
+        if params.bn_final_steps:
+            # pi(x, y) on the (BN, D-type) twist: x^q = conj(x) *
+            # xi^((q-1)/3) and y^q = conj(y) * xi^((q-1)/2), xi = w^6
+            xi = params.fq2.element([params.twist_shift, 1])
+            self._frob_x = xi ** ((q - 1) // 3)
+            self._frob_y = xi ** ((q - 1) // 2)
+        # hard part (q^4 - q^2 + 1)/r in base q: at each bit position,
+        # the mask of digits with that bit set (top bit first)
+        hard = (q ** 4 - q ** 2 + 1) // r
+        digits = [(hard // q ** i) % q for i in range(4)]
+        width = max(d.bit_length() for d in digits)
+        self._hard_masks = tuple(
+            sum(((d >> bit) & 1) << i for i, d in enumerate(digits))
+            for bit in range(width - 1, -1, -1))
 
-    # -- embeddings ---------------------------------------------------------------
+    # -- the Miller loop ----------------------------------------------------------
 
-    def cast_g1(self, p) -> Point:
-        """Embed a G1 point (int coordinates) into E(Fq12)."""
-        if p is None:
-            return None
-        x, y = p
-        return (self.fq12.from_base(x), self.fq12.from_base(y))
+    def _embed(self, a: ExtElement, k: int) -> ExtElement:
+        """iota(a) * w^(+-k): an Fq2 value of twist weight k in Fq12,
+        with i = w^6 - s, so a + b i = (a - s b) + b w^6."""
+        a0, a1 = a.coeffs
+        q = self.fq12.base.modulus
+        c = [0] * 12
+        c[0], c[6] = (a0 - self.params.twist_shift * a1) % q, a1
+        return ExtElement(self.fq12, tuple(c)) * self._w_k[k]
 
-    def twist_g2(self, p) -> Point:
-        """Map a G2 point over Fq2 onto the curve over Fq12.
-
-        With i = w^6 - s (s = twist_shift), a + b i = (a - s b) + b w^6;
-        the D-type untwist multiplies x by w^2 and y by w^3.
-        """
-        if p is None:
-            return None
-        x, y = p
-        s = self.params.twist_shift
-        q = self.params.field_modulus
-        xc = ((x.coeffs[0] - s * x.coeffs[1]) % q, x.coeffs[1])
-        yc = ((y.coeffs[0] - s * y.coeffs[1]) % q, y.coeffs[1])
-        nx = self.fq12.element([xc[0], 0, 0, 0, 0, 0, xc[1], 0, 0, 0, 0, 0])
-        ny = self.fq12.element([yc[0], 0, 0, 0, 0, 0, yc[1], 0, 0, 0, 0, 0])
-        if self.params.m_twist:
-            return (nx / self._w2, ny / self._w3)
-        return (nx * self._w2, ny * self._w3)
-
-    # -- curve ops over Fq12 (a = 0 for both families) -------------------------------
-
-    def _double(self, p: Point) -> Point:
-        x, y = p
-        lam = x * x * 3 / (y * 2)
-        nx = lam * lam - x * 2
-        return (nx, lam * (x - nx) - y)
-
-    def _add(self, p: Point, q: Point) -> Point:
-        if p is None:
-            return q
-        if q is None:
-            return p
-        x1, y1 = p
-        x2, y2 = q
-        if x1 == x2 and y1 == y2:
-            return self._double(p)
-        if x1 == x2:
-            return None
-        lam = (y2 - y1) / (x2 - x1)
-        nx = lam * lam - x1 - x2
-        return (nx, lam * (x1 - nx) - y1)
-
-    def _linefunc(self, p1: Point, p2: Point, t: Point) -> ExtElement:
-        """Evaluate the line through p1, p2 at t (standard three cases)."""
-        if p1 is None or p2 is None or t is None:
-            raise CurveError("linefunc does not accept the point at infinity")
-        x1, y1 = p1
-        x2, y2 = p2
-        xt, yt = t
+    def _step(self, r_pt: Point, t_pt: Point) -> Tuple[tuple, Point]:
+        """The line through r_pt and t_pt (the tangent when equal) and
+        the sum r_pt + t_pt, on the twist. The line is ``(slope,
+        const)`` embedded in Fq12, evaluating at P as slope * x_P +
+        const - y_P, or ``(None, x)`` for the vertical x_P - x."""
+        if r_pt is None:
+            raise CurveError("Miller loop reached the point at infinity")
+        x1, y1 = r_pt
+        x2, y2 = t_pt
         if x1 != x2:
-            m = (y2 - y1) / (x2 - x1)
-            return m * (xt - x1) - (yt - y1)
-        if y1 == y2:
-            m = x1 * x1 * 3 / (y1 * 2)
-            return m * (xt - x1) - (yt - y1)
-        return xt - x1
+            lam = (y2 - y1) / (x2 - x1)
+        elif y1 == y2:
+            lam = x1 * x1 * 3 / (y1 * 2)
+        else:
+            return (None, self._embed(x1, 2)), None
+        x3 = lam * lam - x1 - x2
+        line = (self._embed(lam, 1), self._embed(y1 - lam * x1, 3))
+        return line, (x3, lam * (x1 - x3) - y1)
 
-    # -- pairing -------------------------------------------------------------------
-
-    def miller_loop(self, q_pt: Point, p_pt: Point,
-                    counter=None) -> ExtElement:
-        if q_pt is None or p_pt is None:
-            return self.fq12.one
-        _count(counter, "miller_loop")
+    def _lines(self, q_pt: Point) -> Tuple[tuple, ...]:
+        """The Miller loop's lines over G2 point Q: ``(kind, slope,
+        const)`` per step, kind ``"sm"`` (doubling: square, then
+        multiply) or ``"m"`` (addition / Frobenius: multiply)."""
         prm = self.params
-        r_pt = q_pt
-        f = self.fq12.one
-        for i in range(prm.log_ate_loop_count, -1, -1):
-            f = f * f * self._linefunc(r_pt, r_pt, p_pt)
-            r_pt = self._double(r_pt)
-            if prm.ate_loop_count & (1 << i):
-                f = f * self._linefunc(r_pt, q_pt, p_pt)
-                r_pt = self._add(r_pt, q_pt)
-        if prm.bn_final_steps:
-            fq = prm.field_modulus
-            q1 = (q_pt[0] ** fq, q_pt[1] ** fq)
-            nq2 = (q1[0] ** fq, -(q1[1] ** fq))
-            f = f * self._linefunc(r_pt, q1, p_pt)
-            r_pt = self._add(r_pt, q1)
-            f = f * self._linefunc(r_pt, nq2, p_pt)
-        return f
-
-    def final_exponentiate(self, f: ExtElement, counter=None) -> ExtElement:
-        _count(counter, "final_exp")
-        return f ** self._final_exp
-
-    def pairing(self, g1_point, g2_point, counter=None) -> ExtElement:
-        """e(P, Q) with P in G1 (int coords) and Q in G2 (Fq2 coords)."""
-        if g1_point is None or g2_point is None:
-            return self.fq12.one
-        f = self.miller_loop(self.twist_g2(g2_point), self.cast_g1(g1_point),
-                             counter=counter)
-        return self.final_exponentiate(f, counter=counter)
-
-    def pairing_product_is_one(self, pairs, counter=None) -> bool:
-        """Check prod e(P_i, Q_i) == 1 with one shared final
-        exponentiation (how real verifiers batch the Groth16 check)."""
-        acc = self.fq12.one
-        for g1_point, g2_point in pairs:
-            if g1_point is None or g2_point is None:
-                continue
-            acc = acc * self.miller_loop(
-                self.twist_g2(g2_point), self.cast_g1(g1_point),
-                counter=counter,
-            )
-        return self.final_exponentiate(acc, counter=counter) == self.fq12.one
-
-    # -- multi-pairing / fixed-argument interface -----------------------------------
-
-    @property
-    def unity(self) -> ExtElement:
-        """The identity of the pairing target group (Fq12's one)."""
-        return self.fq12.one
-
-    def accumulator(self, counter=None) -> MillerAccumulator:
-        """A fresh multi-pairing accumulator over this engine."""
-        return MillerAccumulator(self, counter=counter)
-
-    def miller_pair(self, g1_point, g2_point, counter=None) -> ExtElement:
-        """The Miller value of one (G1, G2) pair — accumulator hook."""
-        return self.miller_loop(self.twist_g2(g2_point),
-                                self.cast_g1(g1_point), counter=counter)
-
-    def _line_coeffs(self, p1: Point, p2: Point) -> tuple:
-        """(slope, x, y) of the line through p1 and p2 — the three
-        :meth:`_linefunc` cases with the evaluation point factored out
-        (``slope=None`` marks a vertical line)."""
-        x1, y1 = p1
-        x2, y2 = p2
-        if x1 != x2:
-            return ((y2 - y1) / (x2 - x1), x1, y1)
-        if y1 == y2:
-            return (x1 * x1 * 3 / (y1 * 2), x1, y1)
-        return (None, x1, y1)
-
-    def prepare_g2(self, g2_point, counter=None) -> PreparedG2:
-        """Precompute (and cache) the Miller-loop line coefficients of a
-        fixed G2 point.
-
-        The loop's point doublings/additions and line slopes depend only
-        on Q; replaying them against a G1 argument
-        (:meth:`miller_prepared`) skips all Fq12 point arithmetic and is
-        bit-identical to :meth:`miller_loop`. Cached per engine keyed by
-        Q's affine Fq2 coordinates — a verifying key's beta/gamma/delta
-        are prepared once and reused across every batch under that key
-        (``g2_precomp`` counts actual builds, so reuse is checkable).
-        """
-        if g2_point is None:
-            raise CurveError("cannot prepare the point at infinity")
-        key = (g2_point[0], g2_point[1])
-        with self._prepared_lock:
-            prepared = self._prepared.get(key)
-        if prepared is not None:
-            return prepared
-        _count(counter, "g2_precomp")
-        prm = self.params
-        q_pt = self.twist_g2(g2_point)
         steps: List[tuple] = []
         r_pt = q_pt
         for i in range(prm.log_ate_loop_count, -1, -1):
-            steps.append(("sm",) + self._line_coeffs(r_pt, r_pt))
-            r_pt = self._double(r_pt)
+            line, r_pt = self._step(r_pt, r_pt)
+            steps.append(("sm",) + line)
             if prm.ate_loop_count & (1 << i):
-                steps.append(("m",) + self._line_coeffs(r_pt, q_pt))
-                r_pt = self._add(r_pt, q_pt)
+                line, r_pt = self._step(r_pt, q_pt)
+                steps.append(("m",) + line)
         if prm.bn_final_steps:
-            fq = prm.field_modulus
-            q1 = (q_pt[0] ** fq, q_pt[1] ** fq)
-            nq2 = (q1[0] ** fq, -(q1[1] ** fq))
-            steps.append(("m",) + self._line_coeffs(r_pt, q1))
-            r_pt = self._add(r_pt, q1)
-            steps.append(("m",) + self._line_coeffs(r_pt, nq2))
-        prepared = PreparedG2(self.params.name, tuple(steps))
-        with self._prepared_lock:
-            self._prepared.setdefault(key, prepared)
-        return prepared
+            q1 = (q_pt[0].conjugate() * self._frob_x,
+                  q_pt[1].conjugate() * self._frob_y)
+            nq2 = (q1[0].conjugate() * self._frob_x,
+                   -(q1[1].conjugate() * self._frob_y))
+            line, r_pt = self._step(r_pt, q1)
+            steps.append(("m",) + line)
+            line, _ = self._step(r_pt, nq2)
+            steps.append(("m",) + line)
+        return tuple(steps)
+
+    def _replay(self, steps, g1_point) -> ExtElement:
+        """Fold the lines, evaluated at G1 point P, into the Miller
+        value."""
+        xp, yp = g1_point
+        fq12 = self.fq12
+        q = fq12.base.modulus
+        f = fq12.one
+        for kind, slope, const in steps:
+            if slope is None:
+                line = fq12.from_base(xp) - const
+            else:
+                c = [(s * xp + k) % q
+                     for s, k in zip(slope.coeffs, const.coeffs)]
+                c[0] = (c[0] - yp) % q
+                line = ExtElement(fq12, tuple(c))
+            f = f * f * line if kind == "sm" else f * line
+        return f
+
+    def miller_loop(self, q_pt: Point, p_pt, counter=None) -> ExtElement:
+        """The Miller value of G2 point Q (Fq2 coords) at G1 point P
+        (int coords): Q's lines, built fresh, replayed at P."""
+        if q_pt is None or p_pt is None:
+            return self.fq12.one
+        _count(counter, "miller_loop")
+        return self._replay(self._lines(q_pt), p_pt)
 
     def miller_prepared(self, g1_point, prepared: PreparedG2,
                         counter=None) -> ExtElement:
         """Replay a prepared G2's lines at a G1 point: the same Miller
         value :meth:`miller_loop` produces, without the point maths."""
-        if prepared.engine_name != self.params.name:
-            raise CurveError(
-                f"prepared lines are for {prepared.engine_name}, "
-                f"engine is {self.params.name}"
-            )
+        self._check_prepared(prepared)
         if g1_point is None:
             return self.fq12.one
         _count(counter, "miller_loop")
-        xt, yt = self.cast_g1(g1_point)
-        f = self.fq12.one
-        for kind, lam, x1, y1 in prepared.steps:
-            line = (xt - x1) if lam is None else lam * (xt - x1) - (yt - y1)
-            f = f * f * line if kind == "sm" else f * line
-        return f
+        return self._replay(prepared.steps, g1_point)
+
+    def miller_pair(self, g1_point, g2_point, counter=None) -> ExtElement:
+        """The Miller value of one (G1, G2) pair — accumulator hook."""
+        return self.miller_loop(g2_point, g1_point, counter=counter)
+
+    # -- final exponentiation ----------------------------------------------------
+
+    def final_exponentiate(self, f: ExtElement, counter=None) -> ExtElement:
+        """f^((q^12 - 1)/r), split as (q^6 - 1)(q^2 + 1) times
+        (q^4 - q^2 + 1)/r, with the same value as the direct power."""
+        _count(counter, "final_exp")
+        g = f.frobenius(6) * f.inverse()
+        g = g.frobenius(2) * g
+        # prod_i (g^(q^i))^(d_i) by one joint square-and-multiply over
+        # the 15 nonempty products of g, g^q, g^(q^2), g^(q^3)
+        bases = [g, g.frobenius(1), g.frobenius(2), g.frobenius(3)]
+        table = [self.fq12.one] * 16
+        for mask in range(1, 16):
+            low = mask & -mask
+            table[mask] = (bases[low.bit_length() - 1] if mask == low
+                           else table[mask ^ low] * table[low])
+        acc = self.fq12.one
+        for mask in self._hard_masks:
+            acc = acc * acc
+            if mask:
+                acc = acc * table[mask]
+        return acc
+
+    # -- pairing -------------------------------------------------------------------
+
+    def pairing(self, g1_point, g2_point, counter=None) -> ExtElement:
+        """e(P, Q) with P in G1 (int coords) and Q in G2 (Fq2 coords)."""
+        if g1_point is None or g2_point is None:
+            return self.fq12.one
+        f = self.miller_loop(g2_point, g1_point, counter=counter)
+        return self.final_exponentiate(f, counter=counter)
+
+    @property
+    def unity(self) -> ExtElement:
+        """The identity of the pairing target group (Fq12's one)."""
+        return self.fq12.one
 
 
 _ENGINES = {}

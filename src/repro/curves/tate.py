@@ -13,9 +13,12 @@ is non-degenerate on G1 x G2 (validated by tests). This gives the
 trapdoor shortcuts — completing the substitution story of DESIGN.md.
 
 The Miller loop is the textbook affine version (r has ~750 bits, so
-~1100 line evaluations; inversion via extended Euclid keeps this fast
-enough for a verifier that the paper budgets "a few milliseconds" on
-native code).
+~1100 line evaluations, one Fq2 inversion each), split like the
+optimal-ate engines' loop: the loop point's doublings/additions build
+the lines — slope, constant term and vertical-correction abscissa per
+step — and a replay evaluates them at the other argument, keeping
+numerator and denominator apart until one final division. A fresh loop
+is "build, then replay", so it is bit-identical to a prepared replay.
 
 Batched verification uses the same :class:`MillerAccumulator` /
 ``prepare_g2`` interface as the optimal-ate engines
@@ -28,9 +31,14 @@ the reduced Tate pairing with the roles swapped: still bilinear in
 both arguments and non-degenerate on G2 x G1 (asserted by tests), and
 a product-of-pairings check only needs *some* non-degenerate bilinear
 pairing applied uniformly to every term — accept/reject is identical
-to the unswapped orientation.  The plain :meth:`MntTatePairing.pairing`
-keeps the historical f_{r,P}(Q) orientation so its values (and every
-existing caller) are unchanged.
+to the unswapped orientation.  Every product check
+(``pairing_product_is_one``, single and batched Groth16 verification)
+uses the swapped orientation; the plain :meth:`MntTatePairing.pairing`
+keeps the historical f_{r,P}(Q) orientation so its values are
+unchanged.
+
+The final exponent (q^2 - 1)/r is only ~760 bits, so it stays a plain
+square-and-multiply.
 
 Every entry point takes an optional OpCounter counting ``miller_loop``
 / ``final_exp`` / ``g2_precomp``, mirroring the ate engines, so batch
@@ -39,10 +47,9 @@ pairing economics are machine-checked on this curve too.
 
 from __future__ import annotations
 
-import threading
 from typing import List, Optional, Tuple
 
-from repro.curves.pairing import MillerAccumulator, PreparedG2
+from repro.curves.pairing import MultiPairingEngine, PreparedG2, _count
 from repro.curves.params import MNT_FQ2, mnt4753_g2_ready
 from repro.errors import CurveError
 from repro.ff.extension import ExtElement
@@ -52,28 +59,20 @@ __all__ = ["MntTatePairing", "mnt4753_pairing"]
 
 Fq2Point = Optional[Tuple[ExtElement, ExtElement]]
 
-_ENGINE_NAME = "MNT4753"
 
-
-def _count(counter, op: str, n: int = 1) -> None:
-    if counter is not None:
-        counter.count(op, n)
-
-
-class MntTatePairing:
+class MntTatePairing(MultiPairingEngine):
     """Reduced Tate pairing on the supersingular 753-bit surrogate."""
 
+    name = "MNT4753"
+
     def __init__(self):
+        super().__init__()
         self.field = MNT_FQ2
         self.q = MNT4753_Q.modulus
         self.r = MNT4753_R.modulus
         self.group = mnt4753_g2_ready()  # curve over Fq2 (a = 1)
         self._a = self.group.a
         self._final_exp = (self.q * self.q - 1) // self.r
-        # fixed-argument line caches for the swapped-orientation loop,
-        # keyed by the G2 point's coordinates (see module docstring)
-        self._prepared: dict = {}
-        self._prepared_lock = threading.Lock()
 
     # -- embeddings ----------------------------------------------------------
 
@@ -85,66 +84,67 @@ class MntTatePairing:
 
     # -- Miller machinery ------------------------------------------------------
 
-    def _line(self, p1: Fq2Point, p2: Fq2Point, t: Fq2Point) -> ExtElement:
-        """Evaluate at t the line through p1 and p2 (or the tangent when
-        p1 == p2), divided by nothing — vertical-line corrections are
-        folded in by the caller."""
+    def _step(self, p1: Fq2Point, p2: Fq2Point) -> Tuple[tuple, Fq2Point]:
+        """The line through p1 and p2 (the tangent when equal) and the
+        sum p1 + p2. The line is ``(slope, const)``, evaluating at T as
+        y_T - slope * x_T + const, or ``(None, x)`` for the vertical
+        x_T - x."""
+        if p1 is None:
+            raise CurveError("Miller loop reached the point at infinity")
         x1, y1 = p1
         x2, y2 = p2
-        xt, yt = t
         if x1 != x2:
             lam = (y2 - y1) / (x2 - x1)
         elif y1 == y2 and y1:
             lam = (x1 * x1 * 3 + self._a) / (y1 * 2)
         else:
-            # Vertical line.
-            return xt - x1
-        return (yt - y1) - lam * (xt - x1)
-
-    def _add(self, p: Fq2Point, q: Fq2Point) -> Fq2Point:
-        if p is None:
-            return q
-        if q is None:
-            return p
-        x1, y1 = p
-        x2, y2 = q
-        if x1 == x2:
-            if y1 + y2 == self.field.zero:
-                return None
-            lam = (x1 * x1 * 3 + self._a) / (y1 * 2)
-        else:
-            lam = (y2 - y1) / (x2 - x1)
+            return (None, x1), None
         x3 = lam * lam - x1 - x2
-        return (x3, lam * (x1 - x3) - y1)
+        return (lam, lam * x1 - y1), (x3, lam * (x1 - x3) - y1)
+
+    def _lines(self, p: Fq2Point) -> Tuple[tuple, ...]:
+        """The lines of f_{r,P}: ``(kind, slope, const, den_x)`` per
+        step, kind ``"d"`` (doubling) or ``"a"`` (addition), ``den_x``
+        the abscissa of the new point (its vertical line divides f), or
+        ``None`` once the sum is the point at infinity."""
+        steps: List[tuple] = []
+        r_pt = p
+        for bit in bin(self.r)[3:]:  # skip leading 1
+            line, r_pt = self._step(r_pt, r_pt)
+            steps.append(("d",) + line + (None if r_pt is None else r_pt[0],))
+            if bit == "1":
+                line, r_pt = self._step(r_pt, p)
+                steps.append(("a",) + line
+                             + (None if r_pt is None else r_pt[0],))
+        return tuple(steps)
+
+    def _replay(self, steps, t: Fq2Point) -> ExtElement:
+        """f_{r,P}(T) from P's lines, numerator and denominator
+        accumulated separately (one inversion at the end)."""
+        xt, yt = t
+        f_num = self.field.one
+        f_den = self.field.one
+        for kind, slope, const, den_x in steps:
+            line = (xt - const) if slope is None else yt - slope * xt + const
+            if kind == "d":
+                f_num = f_num * f_num * line
+                f_den = f_den * f_den
+            else:
+                f_num = f_num * line
+            if den_x is not None:
+                f_den = f_den * (xt - den_x)
+        return f_num / f_den
 
     def miller_loop(self, p: Fq2Point, q: Fq2Point,
                     counter=None) -> ExtElement:
-        """f_{r,P}(Q) by the standard double-and-add Miller loop, with
-        numerator/denominator accumulated separately (one inversion at
-        the end)."""
+        """f_{r,P}(Q) by the double-and-add Miller loop: P's lines,
+        built fresh, replayed at Q."""
         if p is None or q is None:
             return self.field.one
         if p == q:
             raise CurveError("Tate Miller loop needs distinct P, Q")
         _count(counter, "miller_loop")
-        f_num = self.field.one
-        f_den = self.field.one
-        r_pt = p
-        for bit in bin(self.r)[3:]:  # skip leading 1
-            # Doubling step: f <- f^2 * l_{R,R}(Q) / v_{2R}(Q).
-            line = self._line(r_pt, r_pt, q)
-            r_pt = self._add(r_pt, r_pt)
-            f_num = f_num * f_num * line
-            f_den = f_den * f_den
-            if r_pt is not None:
-                f_den = f_den * (q[0] - r_pt[0])
-            if bit == "1":
-                line = self._line(r_pt, p, q)
-                r_pt = self._add(r_pt, p)
-                f_num = f_num * line
-                if r_pt is not None:
-                    f_den = f_den * (q[0] - r_pt[0])
-        return f_num / f_den
+        return self._replay(self._lines(p), q)
 
     # -- the pairing -----------------------------------------------------------------
 
@@ -160,32 +160,12 @@ class MntTatePairing:
         _count(counter, "final_exp")
         return f ** self._final_exp
 
-    def pairing_product_is_one(self, pairs, counter=None) -> bool:
-        """prod e(P_i, Q_i) == 1 with one shared final exponentiation."""
-        acc = self.field.one
-        for g1_point, g2_point in pairs:
-            if g1_point is None or g2_point is None:
-                continue
-            acc = acc * self.miller_loop(self.embed_g1(g1_point), g2_point,
-                                         counter=counter)
-        return (self.final_exponentiate(acc, counter=counter)
-                == self.field.one)
-
     # -- multi-pairing / fixed-argument interface -----------------------------------
 
     @property
     def unity(self) -> ExtElement:
         """The identity of the pairing target group (Fq2's one)."""
         return self.field.one
-
-    def accumulator(self, counter=None) -> MillerAccumulator:
-        """A fresh multi-pairing accumulator over this engine.
-
-        Accumulated pairs use the swapped orientation t'(P, Q) =
-        f_{r,Q}(P)^fe uniformly (see module docstring) so fixed G2
-        arguments can own the precomputed loop.
-        """
-        return MillerAccumulator(self, counter=counter)
 
     def miller_pair(self, g1_point, g2_point, counter=None) -> ExtElement:
         """Swapped-orientation Miller value f_{r,Q}(P) — the loop runs
@@ -196,75 +176,15 @@ class MntTatePairing:
         return self.miller_loop(g2_point, self.embed_g1(g1_point),
                                 counter=counter)
 
-    def prepare_g2(self, g2_point: Fq2Point, counter=None) -> PreparedG2:
-        """Precompute (and cache) the swapped-orientation Miller loop of
-        a fixed G2 point: ~1100 line coefficients plus the vertical
-        correction abscissae, replayable at any embedded G1 point.
-        Cached per engine by Q's coordinates; ``g2_precomp`` counts
-        actual builds so cross-batch reuse is machine-checkable."""
-        if g2_point is None:
-            raise CurveError("cannot prepare the point at infinity")
-        key = (g2_point[0], g2_point[1])
-        with self._prepared_lock:
-            prepared = self._prepared.get(key)
-        if prepared is not None:
-            return prepared
-        _count(counter, "g2_precomp")
-        steps: List[tuple] = []
-        r_pt = g2_point
-        for bit in bin(self.r)[3:]:  # skip leading 1
-            lam, x1, y1 = self._line_coeffs(r_pt, r_pt)
-            r_pt = self._add(r_pt, r_pt)
-            steps.append(("d", lam, x1, y1,
-                          r_pt[0] if r_pt is not None else None))
-            if bit == "1":
-                lam, x1, y1 = self._line_coeffs(r_pt, g2_point)
-                r_pt = self._add(r_pt, g2_point)
-                steps.append(("a", lam, x1, y1,
-                              r_pt[0] if r_pt is not None else None))
-        prepared = PreparedG2(_ENGINE_NAME, tuple(steps))
-        with self._prepared_lock:
-            self._prepared.setdefault(key, prepared)
-        return prepared
-
-    def _line_coeffs(self, p1: Fq2Point, p2: Fq2Point) -> tuple:
-        """(slope, x, y) of the line through p1/p2 (``None`` slope marks
-        a vertical line) — :meth:`_line` with the evaluation point
-        factored out."""
-        x1, y1 = p1
-        x2, y2 = p2
-        if x1 != x2:
-            return ((y2 - y1) / (x2 - x1), x1, y1)
-        if y1 == y2 and y1:
-            return ((x1 * x1 * 3 + self._a) / (y1 * 2), x1, y1)
-        return (None, x1, y1)
-
     def miller_prepared(self, g1_point, prepared: PreparedG2,
                         counter=None) -> ExtElement:
         """Replay a prepared G2's swapped-orientation loop at a G1
         point: bit-identical to ``miller_loop(Q, embed(P))``."""
-        if prepared.engine_name != _ENGINE_NAME:
-            raise CurveError(
-                f"prepared lines are for {prepared.engine_name}, "
-                f"engine is {_ENGINE_NAME}"
-            )
+        self._check_prepared(prepared)
         if g1_point is None:
             return self.field.one
         _count(counter, "miller_loop")
-        xt, yt = self.embed_g1(g1_point)
-        f_num = self.field.one
-        f_den = self.field.one
-        for kind, lam, x1, y1, den_x in prepared.steps:
-            line = ((xt - x1) if lam is None
-                    else (yt - y1) - lam * (xt - x1))
-            if kind == "d":
-                f_num = f_num * f_num * line
-                f_den = f_den * f_den
-            else:
-                f_num = f_num * line
-            if den_x is not None:
-                f_den = f_den * (xt - den_x)
-        return f_num / f_den
+        return self._replay(prepared.steps, self.embed_g1(g1_point))
 
 
 _ENGINE = None

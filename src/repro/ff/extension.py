@@ -9,6 +9,13 @@ py_ecc and arkworks use:
 
 * ALT-BN128: Fq2 = Fq[i]/(i^2 + 1), Fq12 = Fq[w]/(w^12 - 18 w^6 + 82)
 * BLS12-381: Fq2 = Fq[i]/(i^2 + 1), Fq12 = Fq[w]/(w^12 - 2 w^6 + 2)
+
+Verification cost lives here, so the arithmetic is shaped by what the
+pairing needs: quadratic fields ``x^2 = -c`` multiply and invert in
+closed form; higher degrees skip zero coefficients (Miller-loop lines
+are sparse) and reduce each output coefficient once; and the Frobenius
+map ``x -> x^(q^k)``, being F_q-linear, is a precomputed matrix-vector
+product instead of an exponentiation.
 """
 
 from __future__ import annotations
@@ -36,6 +43,18 @@ class ExtensionField:
         self.degree = len(modulus_coeffs)
         self.modulus_coeffs = tuple(c % base.modulus for c in modulus_coeffs)
         self.name = name
+        p = base.modulus
+        signed = [c if c <= p // 2 else c - p for c in self.modulus_coeffs]
+        # x^d = -sum c_j x^j, with each nonzero c_j kept as its signed
+        # representative: the pairing moduli have small coefficients, so
+        # reducing a product multiplies by small ints.
+        self._reduction = tuple((j, c) for j, c in enumerate(signed) if c)
+        # x^2 = -c0: closed-form multiplication and norm-based inverse.
+        self._quad_c0 = (signed[0] if self.degree == 2 and not signed[1]
+                         else None)
+        # k -> images of the basis powers x^j under x -> x^(q^k), as
+        # sparse rows of (i, coeff); built on first use.
+        self._frobenius_rows: dict = {}
 
     # -- constructors ----------------------------------------------------------
 
@@ -50,6 +69,31 @@ class ExtensionField:
     def from_base(self, value: int) -> "ExtElement":
         coeffs = [value % self.base.modulus] + [0] * (self.degree - 1)
         return ExtElement(self, tuple(coeffs))
+
+    def frobenius_rows(self, k: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """The matrix of x -> x^(q^k): row j lists the nonzero
+        coefficients of (x^j)^(q^k). Built once per k from one
+        exponentiation x^q (k = 1) or by composing with smaller k."""
+        k %= self.degree
+        rows = self._frobenius_rows.get(k)
+        if rows is None:
+            basis = [0] * self.degree
+            basis[min(1, self.degree - 1)] = 1   # x, or 1 when d = 1
+            x = self.element(basis)
+            if k == 0:
+                image = x
+            elif k == 1:
+                image = x ** self.base.modulus
+            else:
+                image = x.frobenius(k - 1).frobenius(1)
+            power, powers = self.one, []
+            for _ in range(self.degree):
+                powers.append(power)
+                power = power * image
+            rows = tuple(tuple((i, c) for i, c in enumerate(pw.coeffs) if c)
+                         for pw in powers)
+            rows = self._frobenius_rows.setdefault(k, rows)
+        return rows
 
     @property
     def zero(self) -> "ExtElement":
@@ -87,7 +131,7 @@ class ExtElement:
         raise AttributeError("ExtElement is immutable")
 
     def _check(self, other: "ExtElement") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldError("cannot mix elements of different extension fields")
 
     # -- ring operations ---------------------------------------------------------
@@ -121,27 +165,31 @@ class ExtElement:
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        d = self.field.degree
-        p = self.field.base.modulus
-        # Schoolbook polynomial multiplication...
+        field = self.field
+        p = field.base.modulus
+        c0 = field._quad_c0
+        if c0 is not None:
+            # (a0 + a1 x)(b0 + b1 x) with x^2 = -c0, Karatsuba style.
+            a0, a1 = self.coeffs
+            b0, b1 = other.coeffs
+            t0, t1 = a0 * b0, a1 * b1
+            return ExtElement(field, ((t0 - c0 * t1) % p,
+                                      ((a0 + a1) * (b0 + b1) - t0 - t1) % p))
+        d = field.degree
+        # Schoolbook over the nonzero coefficients, unreduced...
+        theirs = [(j, b) for j, b in enumerate(other.coeffs) if b]
         prod: List[int] = [0] * (2 * d - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        # ...then reduction by the monic modulus polynomial.
-        mc = self.field.modulus_coeffs
+            if a:
+                for j, b in theirs:
+                    prod[i + j] += a * b
+        # ...then reduction by the monic modulus, and one % p per output.
         for k in range(2 * d - 2, d - 1, -1):
             top = prod[k]
-            if top == 0:
-                continue
-            prod[k] = 0
-            for j in range(d):
-                if mc[j]:
-                    prod[k - d + j] = (prod[k - d + j] - top * mc[j]) % p
-        return ExtElement(self.field, tuple(prod[:d]))
+            if top:
+                for j, c in field._reduction:
+                    prod[k - d + j] -= top * c
+        return ExtElement(field, tuple(c % p for c in prod[:d]))
 
     __rmul__ = __mul__
 
@@ -158,11 +206,18 @@ class ExtElement:
         return result
 
     def inverse(self) -> "ExtElement":
-        """Extended-Euclid inversion of polynomials over F_q (the
-        classic FQP.inv algorithm used by py_ecc and friends)."""
+        """Multiplicative inverse: conjugate over the norm on quadratic
+        fields ``x^2 = -c0``, else extended-Euclid inversion of
+        polynomials over F_q (the classic FQP.inv algorithm used by
+        py_ecc and friends)."""
         if not self:
             raise FieldError("zero has no inverse")
         p = self.field.base.modulus
+        c0 = self.field._quad_c0
+        if c0 is not None:
+            a0, a1 = self.coeffs
+            n_inv = pow((a0 * a0 + c0 * a1 * a1) % p, -1, p)
+            return ExtElement(self.field, (a0 * n_inv % p, -a1 * n_inv % p))
         d = self.field.degree
 
         def deg(poly: List[int]) -> int:
@@ -203,10 +258,16 @@ class ExtElement:
 
     # -- structure ----------------------------------------------------------------
 
-    def frobenius_map_coeff(self, power: int) -> "ExtElement":
-        """x -> x^(q^power) computed by exponentiation (slow but correct;
-        used only at verification time, never in the prover hot path)."""
-        return self ** (self.field.base.modulus ** power)
+    def frobenius(self, k: int = 1) -> "ExtElement":
+        """x -> x^(q^k), as one product with the field's precomputed
+        Frobenius matrix (:meth:`ExtensionField.frobenius_rows`)."""
+        p = self.field.base.modulus
+        out = [0] * self.field.degree
+        for a, row in zip(self.coeffs, self.field.frobenius_rows(k)):
+            if a:
+                for i, c in row:
+                    out[i] += a * c
+        return ExtElement(self.field, tuple(c % p for c in out))
 
     def conjugate(self) -> "ExtElement":
         """Degree-2 conjugation (a + bi -> a - bi). Only valid on

@@ -17,8 +17,10 @@ run is reproducible end to end (and testable without statistics).
 
 The generator submits with ``wait=False`` — a full shard queue raises
 :class:`~repro.errors.ServiceOverloadedError` and the generator honors
-the ``retry_after`` hint (bounded retries), so reported latency
-includes the backpressure delay a real client would see.
+the ``retry_after`` hint (bounded retries). Each job's latency runs from
+its due time on the schedule, not from when ``submit()`` was reached,
+so it includes the backpressure delay a real client would see and the
+wait that a slow ``submit()`` imposes on the jobs due behind it.
 """
 
 from __future__ import annotations
@@ -149,11 +151,11 @@ class LoadGenerator:
         pending = []
         t0 = time.monotonic()
 
-        def _on_done(submitted_at: float):
+        def _on_done(due_at: float):
             def callback(future):
                 result = future.result()
                 with lock:
-                    latencies.append(time.monotonic() - submitted_at)
+                    latencies.append(time.monotonic() - due_at)
                     report.completed += 1
                     if result.ok:
                         report.ok += 1
@@ -162,10 +164,10 @@ class LoadGenerator:
             return callback
 
         for job, offset in zip(jobs, offsets):
-            delay = (t0 + offset) - time.monotonic()
+            due_at = t0 + offset
+            delay = due_at - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            submitted_at = time.monotonic()
             future = None
             for _ in range(self.submit_retries + 1):
                 try:
@@ -177,7 +179,7 @@ class LoadGenerator:
             if future is None:
                 report.dropped += 1
                 continue
-            future.add_done_callback(_on_done(submitted_at))
+            future.add_done_callback(_on_done(due_at))
             pending.append(future)
 
         for future in pending:

@@ -4,8 +4,11 @@ The standard product-of-pairings check
 
     e(A, B) == e(alpha, beta) * e(IC(x), gamma) * e(C, delta)
 
-run as a single batched product with one final exponentiation. Every
-curve in this reproduction has a real pairing engine:
+run as a single product with one final exponentiation: one fresh Miller
+loop for (-A, B), and three replays of the verifying key's prepared G2
+lines for beta, gamma and delta (built on first use under a key, then
+cached by the engine). Every curve in this reproduction has a real
+pairing engine:
 
 * ALT-BN128, BLS12-381 — optimal-ate over the Fq12 tower
   (:mod:`repro.curves.pairing`);
@@ -91,7 +94,8 @@ def _msm_engine_for(curve: CurvePair, backend=None):
 
 class Groth16Verifier:
     """Pairing-based verification with the short verifying key (the
-    "few milliseconds" step of Figure 1 — here pure Python, so seconds)."""
+    "few milliseconds" step of Figure 1 — here pure Python, so tens of
+    milliseconds on the 254/381-bit curves)."""
 
     def __init__(self, vk: VerifyingKey, curve: CurvePair, backend=None):
         self.vk = vk
@@ -136,18 +140,32 @@ class Groth16Verifier:
 
     def verify(self, proof: Proof, public_inputs: Sequence[int],
                counter=None) -> bool:
-        """e(-A, B) e(alpha, beta) e(IC, gamma) e(C, delta) == 1."""
+        """e(-A, B) e(alpha, beta) e(IC, gamma) e(C, delta) == 1:
+        4 Miller loops (one fresh, three prepared) and 1 final
+        exponentiation."""
         if not self.check_proof_shape(proof):
             return False
-        g1 = self.curve.g1
         ic = self.ic_combination(public_inputs)
-        pairs = [
-            (g1.neg(proof.a), proof.b),
-            (self.vk.alpha_g1, self.vk.beta_g2),
-            (ic, self.vk.gamma_g2),
-            (proof.c, self.vk.delta_g2),
-        ]
-        return self.engine.pairing_product_is_one(pairs, counter=counter)
+        return self._product_is_one(
+            [(self.curve.g1.neg(proof.a), proof.b)], self.vk.alpha_g1, ic,
+            proof.c, counter=counter)
+
+    def _product_is_one(self, fresh_pairs, alpha_term, ic_term, c_term,
+                        counter=None) -> bool:
+        """prod e(P_i, Q_i) * e(alpha_term, beta) * e(ic_term, gamma)
+        * e(c_term, delta) == 1, with one fresh Miller loop per pair in
+        ``fresh_pairs`` and the three fixed-G2 terms replayed from the
+        verifying key's prepared lines."""
+        engine = self.engine
+        acc = engine.accumulator(counter=counter)
+        for g1_point, g2_point in fresh_pairs:
+            acc.accumulate(g1_point, g2_point)
+        for g1_point, g2_point in ((alpha_term, self.vk.beta_g2),
+                                   (ic_term, self.vk.gamma_g2),
+                                   (c_term, self.vk.delta_g2)):
+            acc.accumulate_prepared(
+                g1_point, engine.prepare_g2(g2_point, counter=counter))
+        return acc.is_one()
 
 
 class BatchVerifier:
@@ -239,18 +257,10 @@ class BatchVerifier:
                                    [proof.c for proof in proofs])
 
         alpha_term = g1.scalar_mul(coeff_sum, self.vk.alpha_g1)
-
-        engine = self.engine
-        acc = engine.accumulator(counter=counter)
-        for coeff, proof in zip(coeffs, proofs):
-            acc.accumulate(g1.neg(g1.scalar_mul(coeff, proof.a)), proof.b)
-        acc.accumulate_prepared(
-            alpha_term, engine.prepare_g2(self.vk.beta_g2, counter=counter))
-        acc.accumulate_prepared(
-            ic_fold, engine.prepare_g2(self.vk.gamma_g2, counter=counter))
-        acc.accumulate_prepared(
-            c_fold, engine.prepare_g2(self.vk.delta_g2, counter=counter))
-        return acc.is_one()
+        fresh = [(g1.neg(g1.scalar_mul(coeff, proof.a)), proof.b)
+                 for coeff, proof in zip(coeffs, proofs)]
+        return self._single._product_is_one(fresh, alpha_term, ic_fold,
+                                            c_fold, counter=counter)
 
     # -- windowed check with bisection -----------------------------------------
 

@@ -171,6 +171,29 @@ class TestProveVerify:
         )
         assert not verifier.verify(tampered, assignment[1:3])
 
+    def test_single_verify_pairing_economics(self, keys_and_circuit):
+        """One verify is 4 Miller loops (one fresh, three replays of the
+        key's prepared G2 lines) and 1 final exponentiation; the lines
+        are built lazily on the first verify under a key, then reused."""
+        from repro.ff.opcount import OpCounter
+
+        r1cs, assignment, _ = keys_and_circuit
+        keys = setup(r1cs, CURVE, random.Random(4242))  # a key no test saw
+        proof = Groth16Prover(r1cs, keys.proving_key, CURVE).prove(
+            assignment, random.Random(4))
+        verifier = Groth16Verifier(keys.verifying_key, CURVE)
+        g1 = CURVE.g1
+        forged = type(proof)(a=g1.add(proof.a, g1.generator), b=proof.b,
+                             c=proof.c)
+        for candidate, verdict, builds in ((proof, True, 3), (proof, True, 0),
+                                           (forged, False, 0)):
+            counter = OpCounter()
+            assert verifier.verify(candidate, assignment[1:3],
+                                   counter=counter) is verdict
+            assert counter.total("miller_loop") == 4
+            assert counter.total("final_exp") == 1
+            assert counter.total("g2_precomp") == builds
+
     def test_off_curve_proof_rejected(self, keys_and_circuit):
         r1cs, assignment, keys = keys_and_circuit
         prover = Groth16Prover(r1cs, keys.proving_key, CURVE)
